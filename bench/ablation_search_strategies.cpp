@@ -5,7 +5,7 @@
 ///   * MWF / TF          — one ordering each (the paper's fast heuristics)
 ///   * RandomOrder       — one random ordering
 ///   * HillClimb         — first-improvement swaps with restarts
-///   * SimulatedAnnealing— swap neighborhood, geometric cooling
+///   * SimulatedAnnealing— swap neighborhood, parallel tempering (4 replicas)
 ///   * PSG / Seeded PSG  — the paper's GENITOR search
 ///   * ClassBased        — §4's alternate worth-class scheme (E12)
 /// plus the exact permutation optimum on instances small enough to enumerate.

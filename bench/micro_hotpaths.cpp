@@ -179,10 +179,10 @@ void BM_BatchEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchEvaluate)->Arg(1)->Arg(2);
 
-/// Full annealing run at a fixed decode budget; Arg = AnnealingOptions::
-/// threads (0 = legacy serial chain, >= 1 = parallel tempering with 4
-/// replicas).  Same total Metropolis steps in every variant, so the wall
-/// clock differences isolate engine overhead (at 1 core) or speedup (at N).
+/// Full parallel-tempering run (4 replicas) at a fixed decode budget;
+/// Arg = AnnealingOptions::threads.  Same total Metropolis steps in every
+/// variant, so the wall clock differences isolate pool overhead (at 1 core)
+/// or speedup (at N).
 void BM_AnnealTempering(benchmark::State& state) {
   const auto m = make_instance(6, 48);
   core::AnnealingOptions options;
@@ -203,7 +203,7 @@ void BM_AnnealTempering(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(evaluations));
   state.counters["worth"] = static_cast<double>(worth);
 }
-BENCHMARK(BM_AnnealTempering)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
+BENCHMARK(BM_AnnealTempering)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /// Thread churn with no metrics activity: the baseline spawn/join cost that
@@ -244,48 +244,32 @@ void BM_EstimateAll(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateAll)->Arg(12)->Arg(24);
 
-/// Paper-shaped upper-bound LP (multi-app strings, full flow/route blocks)
-/// solved by either engine: Arg0 = strings, Arg1 = 0 sparse / 1 dense.  The
-/// dense engine's explicit basis inverse is O(m^2) per pivot, so the gap
-/// widens with the instance; the pair of rows per Arg0 is the before/after
-/// column of BENCH_lp.json.
+/// Paper-shaped upper-bound LP (multi-app strings, full flow/route blocks);
+/// Arg = strings.  Rows match the sparse column of BENCH_lp.json.
 void BM_SimplexUpperBound(benchmark::State& state) {
   const auto m = make_instance(4, static_cast<std::size_t>(state.range(0)));
-  lp::UpperBoundOptions options;
-  options.simplex.engine = state.range(1) == 0 ? lp::SimplexEngine::kSparse
-                                               : lp::SimplexEngine::kDense;
   lp::UpperBoundResult last;
   for (auto _ : state) {
-    last = lp::upper_bound_worth(m, options);
+    last = lp::upper_bound_worth(m);
     benchmark::DoNotOptimize(last);
   }
-  state.SetLabel(state.range(1) == 0 ? "sparse" : "dense");
   state.counters["rows"] = static_cast<double>(last.lp_rows);
   state.counters["cols"] = static_cast<double>(last.lp_cols);
   state.counters["iters"] = static_cast<double>(last.iterations);
   state.counters["refactors"] = static_cast<double>(last.refactorisations);
 }
-BENCHMARK(BM_SimplexUpperBound)
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({24, 0})
-    ->Args({24, 1})
-    ->Args({32, 0})
-    ->Args({32, 1})
+BENCHMARK(BM_SimplexUpperBound)->Arg(8)->Arg(16)->Arg(24)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-/// Sparse engine head-to-head on one mid-size paper-shaped LP, reusing the
-/// assembled problem (the UpperBoundSolver service path) so the measurement
+/// The simplex alone on one mid-size paper-shaped LP, reusing the assembled
+/// problem (the UpperBoundSolver service path) so the measurement
 /// isolates the solve itself.
 void BM_SimplexSparse(benchmark::State& state) {
   const auto m = make_instance(6, static_cast<std::size_t>(state.range(0)));
   const lp::LpProblem problem = lp::build_upper_bound_lp(
       m, /*complete=*/false, lp::UbObjective::kTotalWorth);
-  lp::SimplexOptions options;  // kSparse default
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lp::solve(problem, options));
+    benchmark::DoNotOptimize(lp::solve(problem));
   }
   state.counters["rows"] = static_cast<double>(problem.num_rows());
   state.counters["nnz"] = static_cast<double>(problem.num_nonzeros());
@@ -294,9 +278,7 @@ BENCHMARK(BM_SimplexSparse)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 /// Fleet-scale workload: hundreds of machines, thousands of single-app
 /// strings (the TDM-client shape — no inter-app edges, so the route-capacity
-/// block vanishes and the LP is Q deployment rows + M capacity rows).  The
-/// dense engine is not benchmarked here: its O(m^2)-per-pivot inverse makes
-/// this scale infeasible, which is the point of the sparse rewrite.
+/// block vanishes and the LP is Q deployment rows + M capacity rows).
 model::SystemModel fleet_instance(std::size_t machines, std::size_t strings) {
   util::Rng rng(99);
   auto config =

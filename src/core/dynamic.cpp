@@ -60,10 +60,9 @@ struct RemapMetrics {
 }  // namespace
 
 ReallocationResult reallocate(const SystemModel& updated_model,
-                              const model::Allocation& current,
-                              ReallocationOptions options) {
+                              const model::Allocation& current) {
   const std::uint64_t t0 = obs::clock_ticks();
-  AllocationSession session(updated_model, options.rule);
+  AllocationSession session(updated_model);
   ReallocationResult result;
 
   // Strings ordered most-worth-first (tie: tighter period first, then id):
@@ -93,10 +92,8 @@ ReallocationResult reallocate(const SystemModel& updated_model,
   }
 
   // Pass 2: re-map violating strings via the IMR against the live state;
-  // strings that still do not fit anywhere are dropped.  (A later retry
-  // cannot help: failed commits consume no capacity and committed load only
-  // grows, so a second attempt faces a strictly harder system.)
-  (void)options.retry_dropped;
+  // strings that still do not fit anywhere are dropped (see dynamic.hpp for
+  // why they are never retried).
   for (const StringId k : pending) {
     const auto remapped = imr_map_string(updated_model, session.util(), k);
     if (session.try_commit(k, remapped)) {

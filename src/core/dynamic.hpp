@@ -10,8 +10,9 @@
 ///   1. keep every string whose existing mapping is still feasible,
 ///   2. re-map the violating strings one at a time with the IMR (most worth
 ///      first), migrating only their applications,
-///   3. drop strings (lowest worth first) only when no mapping fits, then
-///      retry the dropped ones once in case the drops freed capacity.
+///   3. drop the strings for which no mapping fits.  Dropped strings are
+///      never retried: a failed commit consumes no capacity and the
+///      committed load only grows, so a retry faces a strictly harder system.
 ///
 /// Migration count — the number of applications whose machine changed — is
 /// the disturbance metric (each migration is a process restart on a ship).
@@ -20,18 +21,9 @@
 
 #include <vector>
 
-#include "analysis/priority.hpp"
 #include "core/allocator.hpp"
 
 namespace tsce::core {
-
-struct ReallocationOptions {
-  analysis::PriorityRule rule = analysis::PriorityRule::kRelativeTightness;
-  /// Reserved (kept for ABI stability of callers); reallocation never retries
-  /// dropped strings because a failed commit consumes no capacity and the
-  /// committed load only grows — a retry faces a strictly harder system.
-  bool retry_dropped = true;
-};
 
 struct ReallocationResult {
   model::Allocation allocation;
@@ -46,8 +38,8 @@ struct ReallocationResult {
 
 /// Repairs \p current against \p updated_model.  \p current may be any
 /// allocation shaped like the model (typically the initial static mapping).
+/// Stage-one feasibility uses the relative-tightness priority rule.
 [[nodiscard]] ReallocationResult reallocate(const model::SystemModel& updated_model,
-                                            const model::Allocation& current,
-                                            ReallocationOptions options = {});
+                                            const model::Allocation& current);
 
 }  // namespace tsce::core

@@ -1,13 +1,9 @@
 #include "core/evaluator.hpp"
 
-#include <thread>
-
 namespace tsce::core {
 
 BatchEvaluator::BatchEvaluator(const model::SystemModel& model, std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  threads = util::resolve_thread_count(threads);
   contexts_.reserve(threads);
   for (std::size_t w = 0; w < threads; ++w) {
     contexts_.push_back(std::make_unique<DecodeContext>(model));

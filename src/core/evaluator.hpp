@@ -27,8 +27,8 @@ namespace tsce::core {
 
 class BatchEvaluator {
  public:
-  /// \p threads = 1 runs inline with no pool (the serial engine); 0 uses
-  /// std::thread::hardware_concurrency().
+  /// \p threads = 1 runs inline with no pool; 0 uses
+  /// std::thread::hardware_concurrency() (util::resolve_thread_count).
   explicit BatchEvaluator(const model::SystemModel& model, std::size_t threads = 1);
 
   [[nodiscard]] std::size_t num_workers() const noexcept { return contexts_.size(); }

@@ -20,8 +20,8 @@ namespace {
 /// Depth-first enumeration state on top of the incremental decode engine:
 /// DecodeContext supplies push/pop string commits, so each tree edge costs
 /// one IMR mapping plus the suffix-local feasibility re-analysis.  The
-/// context is borrowed (not owned) so the parallel engine can run one
-/// enumerator per top-level branch on a worker's long-lived context.
+/// context is borrowed (not owned) so one enumerator per top-level branch
+/// runs on a worker's long-lived context.
 class Enumerator {
  public:
   Enumerator(const SystemModel& model, DecodeContext& ctx,
@@ -31,17 +31,11 @@ class Enumerator {
     remaining_worth_ = model.total_worth_available();
   }
 
-  /// Full-tree enumeration from the empty prefix (the serial engine).
-  void run() {
-    consider(ctx_.fitness());
-    descend();
-  }
-
   /// Enumerates only the orderings that start with string \p k — one
   /// top-level branch of the tree, self-contained so branches can run as
-  /// independent tasks.  The root commit is charged like the serial engine's
-  /// depth-0 loop body; a failing root commit reduces the branch to the
-  /// empty prefix (every completion of it decodes to the empty allocation).
+  /// independent tasks.  The root commit is charged like any other tree
+  /// edge; a failing root commit reduces the branch to the empty prefix
+  /// (every completion of it decodes to the empty allocation).
   void run_branch(StringId k) {
     ++evaluations_;
     const int worth_k = model_.strings[static_cast<std::size_t>(k)].worth_factor();
@@ -140,30 +134,12 @@ AllocatorResult ExactPermutationSearch::allocate(const SystemModel& model,
   obs::Span span(obs::names::kSearchExact,
                  {{"phase", "Exact"},
                   {"threads", std::uint64_t{options_.threads}}});
-  AllocatorResult result;
 
-  if (options_.threads == 0) {
-    // Legacy serial engine: one global enumeration sharing one bound and one
-    // evaluation budget across the whole tree.
-    DecodeContext ctx(model);
-    Enumerator enumerator(model, ctx, options_.max_evaluations);
-    enumerator.run();
-    span.add("evaluations", static_cast<double>(enumerator.evaluations()));
-    span.add("worth", static_cast<double>(enumerator.best_fitness().total_worth));
-    result.allocation = enumerator.best_allocation();
-    result.fitness = enumerator.best_fitness();
-    result.order = enumerator.best_order();
-    result.evaluations = enumerator.evaluations();
-    return result;
-  }
-
-  // Deterministic parallel engine (threads >= 1): the top level of the tree
-  // is split into one task per first string, each enumerated independently
-  // with its own bound and an equal slice of the evaluation budget, so no
-  // task's pruning depends on another task's timing.  The fold walks
-  // branches in index order (strictly-better wins), which makes the result
-  // byte-identical at any worker count.  Per-branch bounds prune less than
-  // the serial engine's global bound, the price of schedule independence.
+  // The top level of the tree is split into one task per first string, each
+  // enumerated independently with its own bound and an equal slice of the
+  // evaluation budget, so no task's pruning depends on another task's
+  // timing.  The fold walks branches in index order (strictly-better wins),
+  // which makes the result byte-identical at any worker count.
   const std::size_t q = model.num_strings();
   struct Branch {
     Fitness fitness{};
@@ -192,12 +168,12 @@ AllocatorResult ExactPermutationSearch::allocate(const SystemModel& model,
                     static_cast<double>(enumerator.best_fitness().total_worth));
   });
 
-  // Seed the reduction with the empty prefix (the serial engine's root
-  // consideration), then fold branches in index order.
+  // Seed the reduction with the empty prefix, then fold branches in index
+  // order.
+  AllocatorResult result;
   DecodeResult root = decode_order(model, {});
   result.allocation = std::move(root.allocation);
   result.fitness = root.fitness;
-  result.order.clear();
   std::size_t evaluations = 0;
   for (std::size_t k = 0; k < q; ++k) {
     evaluations += branches[k].evaluations;

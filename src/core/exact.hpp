@@ -20,17 +20,12 @@ struct ExactSearchOptions {
   std::size_t max_strings = 9;
   /// Hard cap on decodes; the best-so-far is returned when exhausted.
   std::size_t max_evaluations = 2'000'000;
-  /// Engine selector, mirroring HillClimbOptions::threads.  0 (default) is
-  /// the legacy serial engine: one enumeration, one global bound, one global
-  /// evaluation budget.  Any value >= 1 selects the deterministic parallel
-  /// engine: the top level of the tree splits into one subtree task per first
-  /// string, each with an independent bound and max_evaluations/Q budget
-  /// slice, folded best-of in branch index order — byte-identical at 1, 2, or
-  /// N threads.  Both engines find the same optimal fitness when budgets do
-  /// not bind (the bound only prunes strictly-worse subtrees), but budget
-  /// truncation points and the representative order may differ between the
-  /// serial and parallel engines.
-  std::size_t threads = 0;
+  /// Worker threads (1 runs inline with no pool, 0 uses
+  /// std::thread::hardware_concurrency()).  The top level of the tree splits
+  /// into one subtree task per first string, each with an independent bound
+  /// and a max_evaluations/Q budget slice, folded best-of in branch index
+  /// order — byte-identical at any thread count.
+  std::size_t threads = 1;
 };
 
 /// Branch-and-bound over orderings: a depth-first enumeration that prunes a

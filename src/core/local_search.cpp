@@ -22,12 +22,19 @@ using model::SystemModel;
 
 namespace {
 
+/// Neighbor evaluations per climb step before giving up on an improvement.
+constexpr std::size_t kMaxNeighborsPerStep = 64;
+/// Geometric cooling rate per Metropolis step of every annealing replica.
+constexpr double kAnnealCooling = 0.998;
+/// Temperature ratio between adjacent replicas of the tempering ladder.
+constexpr double kAnnealLadderRatio = 1.7;
+
 /// One first-improvement climb from \p current (mutated in place to the local
-/// optimum).  \p evaluations is the shared decode counter; \p budget is an
-/// absolute cap on it (0 = unlimited).  Returns the optimum's outcome.
+/// optimum).  \p evaluations is the restart's decode counter; \p budget is
+/// an absolute cap on it (0 = unlimited).  Returns the optimum's outcome.
 DecodeOutcome climb(DecodeContext& ctx, std::vector<StringId>& current,
-                    util::Rng& rng, const HillClimbOptions& options,
-                    std::size_t& evaluations, std::size_t budget) {
+                    util::Rng& rng, std::size_t& evaluations,
+                    std::size_t budget) {
   const std::size_t q = current.size();
   DecodeOutcome current_decoded = decode_order_into(ctx, current);
   ++evaluations;
@@ -36,7 +43,7 @@ DecodeOutcome climb(DecodeContext& ctx, std::vector<StringId>& current,
   while (improved && (budget == 0 || evaluations < budget)) {
     improved = false;
     for (std::size_t attempt = 0;
-         attempt < options.max_neighbors_per_step && q >= 2; ++attempt) {
+         attempt < kMaxNeighborsPerStep && q >= 2; ++attempt) {
       const std::size_t i = rng.bounded(q);
       std::size_t j = rng.bounded(q);
       while (j == i) j = rng.bounded(q);
@@ -58,98 +65,65 @@ DecodeOutcome climb(DecodeContext& ctx, std::vector<StringId>& current,
 }  // namespace
 
 AllocatorResult HillClimb::allocate(const SystemModel& model, util::Rng& rng) const {
-  const std::size_t restarts = std::max<std::size_t>(1, options_.restarts);
+  // Restarts are independent, so each gets its own worker context, an
+  // index-derived rng stream, and an equal slice of the budget; the result
+  // is byte-identical at any thread count.  Every restart decodes at least
+  // once, so a budget caps the restart count.
+  std::size_t restarts = std::max<std::size_t>(1, options_.restarts);
+  if (options_.max_evaluations != 0) {
+    restarts = std::min(restarts, options_.max_evaluations);
+  }
+  const std::size_t slice =
+      options_.max_evaluations == 0 ? 0 : options_.max_evaluations / restarts;
+  const std::uint64_t base_seed = rng();
+  struct Restart {
+    Fitness fitness;
+    std::vector<StringId> order;
+    std::size_t evaluations = 0;
+  };
+  std::vector<Restart> outcomes(restarts);
+  BatchEvaluator evaluator(model, options_.threads);
+  evaluator.for_each(restarts, [&](std::size_t r, DecodeContext& ctx) {
+    obs::Span span(obs::names::kSearchRestart,
+                   {{"phase", "HillClimb"}, {"restart", std::uint64_t{r}}});
+    util::Rng restart_rng = util::Rng::stream(base_seed, r);
+    std::vector<StringId> current = identity_order(model);
+    restart_rng.shuffle(current);
+    if (options_.lp_guided_start && r == 0) {
+      current = lp_guided_order(model);
+    }
+    const DecodeOutcome optimum =
+        climb(ctx, current, restart_rng, outcomes[r].evaluations, slice);
+    outcomes[r].fitness = optimum.fitness;
+    outcomes[r].order = std::move(current);
+    span.add("evaluations", static_cast<double>(outcomes[r].evaluations));
+    span.add("worth", static_cast<double>(optimum.fitness.total_worth));
+  });
+
+  // The fold is serial and walks restarts in index order (ties go to the
+  // lowest index); improvement events carry the restart index, so post-hoc
+  // ordering matches the parallel execution.
   Fitness best_fitness{};
   std::vector<StringId> best_order;
   bool have_best = false;
   std::size_t evaluations = 0;
-  DecodeContext replay_ctx(model);
-
-  if (options_.threads == 0) {
-    // Legacy serial engine: one context across all restarts, the caller's rng
-    // driving both the restart shuffles and the neighbor picks, and a global
-    // evaluation budget.
-    for (std::size_t restart = 0; restart < restarts; ++restart) {
-      obs::Span span(obs::names::kSearchRestart,
-                     {{"phase", "HillClimb"}, {"restart", std::uint64_t{restart}}});
-      std::vector<StringId> current = identity_order(model);
-      rng.shuffle(current);
-      // The shuffle's rng draws are consumed unconditionally so the guided
-      // start perturbs only restart 0's start point, not later restarts.
-      if (options_.lp_guided_start && restart == 0) {
-        current = lp_guided_order(model);
-      }
-      const std::size_t before = evaluations;
-      const DecodeOutcome optimum = climb(replay_ctx, current, rng, options_,
-                                          evaluations, options_.max_evaluations);
-      span.add("evaluations", static_cast<double>(evaluations - before));
-      span.add("worth", static_cast<double>(optimum.fitness.total_worth));
-      if (!have_best || best_fitness < optimum.fitness) {
-        best_fitness = optimum.fitness;
-        best_order = std::move(current);
-        have_best = true;
-        obs::trace_event(obs::names::kSearchImprove,
-                         {{"phase", "HillClimb"},
-                          {"trial", std::uint64_t{restart}},
-                          {"worth", best_fitness.total_worth},
-                          {"slackness", best_fitness.slackness}});
-      }
-      if (options_.max_evaluations != 0 && evaluations >= options_.max_evaluations) {
-        break;
-      }
-    }
-  } else {
-    // Deterministic engine (threads >= 1): restarts are independent, so each
-    // gets its own worker context, an index-derived rng stream, and an equal
-    // slice of the budget; the result is byte-identical at any thread count.
-    // Ties across restarts go to the lowest restart index.
-    const std::uint64_t base_seed = rng();
-    const std::size_t slice =
-        options_.max_evaluations == 0
-            ? 0
-            : std::max<std::size_t>(1, options_.max_evaluations / restarts);
-    struct Restart {
-      Fitness fitness;
-      std::vector<StringId> order;
-      std::size_t evaluations = 0;
-    };
-    std::vector<Restart> outcomes(restarts);
-    BatchEvaluator evaluator(model, options_.threads);
-    evaluator.for_each(restarts, [&](std::size_t r, DecodeContext& ctx) {
-      obs::Span span(obs::names::kSearchRestart,
-                     {{"phase", "HillClimb"}, {"restart", std::uint64_t{r}}});
-      util::Rng restart_rng = util::Rng::stream(base_seed, r);
-      std::vector<StringId> current = identity_order(model);
-      restart_rng.shuffle(current);
-      if (options_.lp_guided_start && r == 0) {
-        current = lp_guided_order(model);
-      }
-      const DecodeOutcome optimum =
-          climb(ctx, current, restart_rng, options_, outcomes[r].evaluations, slice);
-      outcomes[r].fitness = optimum.fitness;
-      outcomes[r].order = std::move(current);
-      span.add("evaluations", static_cast<double>(outcomes[r].evaluations));
-      span.add("worth", static_cast<double>(optimum.fitness.total_worth));
-    });
-    // The fold is serial and deterministic; improvement events carry the
-    // restart index, so post-hoc ordering matches the parallel execution.
-    for (std::size_t r = 0; r < outcomes.size(); ++r) {
-      evaluations += outcomes[r].evaluations;
-      if (!have_best || best_fitness < outcomes[r].fitness) {
-        best_fitness = outcomes[r].fitness;
-        best_order = outcomes[r].order;
-        have_best = true;
-        obs::trace_event(obs::names::kSearchImprove,
-                         {{"phase", "HillClimb"},
-                          {"trial", std::uint64_t{r}},
-                          {"worth", best_fitness.total_worth},
-                          {"slackness", best_fitness.slackness}});
-      }
+  for (std::size_t r = 0; r < outcomes.size(); ++r) {
+    evaluations += outcomes[r].evaluations;
+    if (!have_best || best_fitness < outcomes[r].fitness) {
+      best_fitness = outcomes[r].fitness;
+      best_order = outcomes[r].order;
+      have_best = true;
+      obs::trace_event(obs::names::kSearchImprove,
+                       {{"phase", "HillClimb"},
+                        {"trial", std::uint64_t{r}},
+                        {"worth", best_fitness.total_worth},
+                        {"slackness", best_fitness.slackness}});
     }
   }
 
   AllocatorResult best;
   best.fitness = best_fitness;
+  DecodeContext replay_ctx(model);
   best.allocation = replay_ctx.materialize(decode_order_into(replay_ctx, best_order))
                         .allocation;
   best.order = std::move(best_order);
@@ -179,11 +153,10 @@ struct TemperReplica {
   std::size_t evaluations = 0;
 };
 
-/// Runs up to \p steps Metropolis steps on one replica — the serial engine's
-/// acceptance rule at the replica's own (cooling) temperature, driven
-/// entirely by the replica's private rng stream.
-void temper_steps(TemperReplica& rep, const AnnealingOptions& options,
-                  std::size_t steps) {
+/// Runs up to \p steps Metropolis steps on one replica at the replica's own
+/// (cooling) temperature, driven entirely by the replica's private rng
+/// stream.
+void temper_steps(TemperReplica& rep, std::size_t steps) {
   const std::size_t q = rep.order.size();
   if (q < 2) {
     rep.remaining = 0;
@@ -209,23 +182,24 @@ void temper_steps(TemperReplica& rep, const AnnealingOptions& options,
     } else {
       std::swap(rep.order[i], rep.order[j]);  // undo
     }
-    rep.temperature *= options.cooling;
+    rep.temperature *= kAnnealCooling;
   }
 }
 
-/// Deterministic parallel tempering (AnnealingOptions::threads >= 1).
-///
-/// N replicas on a geometric temperature ladder step in fixed-size sweeps;
-/// at each sweep barrier adjacent pairs (alternating parity per sweep) may
-/// exchange their states with the Metropolis-Hastings swap rule, the swap
-/// draw coming from a dedicated exchange stream.  All per-replica randomness
-/// is index-derived and the barrier fold walks replicas in index order, so
-/// the result is byte-identical at any worker count.
-AllocatorResult temper_allocate(const SystemModel& model, util::Rng& rng,
-                                const AnnealingOptions& options) {
-  const std::size_t replicas = std::max<std::size_t>(1, options.replicas);
-  const double t0 = options.initial_temperature > 0.0
-                        ? options.initial_temperature
+}  // namespace
+
+/// Deterministic parallel tempering: N replicas on a geometric temperature
+/// ladder step in fixed-size sweeps; at each sweep barrier adjacent pairs
+/// (alternating parity per sweep) may exchange their states with the
+/// Metropolis-Hastings swap rule, the swap draw coming from a dedicated
+/// exchange stream.  All per-replica randomness is index-derived and the
+/// barrier fold walks replicas in index order, so the result is
+/// byte-identical at any worker count.
+AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
+                                             util::Rng& rng) const {
+  const std::size_t replicas = std::max<std::size_t>(1, options_.replicas);
+  const double t0 = options_.initial_temperature > 0.0
+                        ? options_.initial_temperature
                         : 0.1 * std::max(1, model.total_worth_available());
   const std::uint64_t base_seed = rng();
   // Streams 0..replicas-1 drive the replicas; stream `replicas` is reserved
@@ -235,7 +209,7 @@ AllocatorResult temper_allocate(const SystemModel& model, util::Rng& rng,
   obs::Span span(obs::names::kSearchAnneal,
                  {{"phase", "Annealing"},
                   {"replicas", std::uint64_t{replicas}},
-                  {"threads", std::uint64_t{options.threads}}});
+                  {"threads", std::uint64_t{options_.threads}}});
   auto& registry = obs::MetricsRegistry::instance();
   obs::Counter& sweeps_total = registry.counter(obs::names::kTemperSweeps);
   obs::Counter& exchanges_total = registry.counter(obs::names::kTemperExchanges);
@@ -252,12 +226,13 @@ AllocatorResult temper_allocate(const SystemModel& model, util::Rng& rng,
     rep.order = identity_order(model);
     rep.rng.shuffle(rep.order);
     rep.temperature =
-        t0 * std::pow(options.ladder_ratio, static_cast<double>(r));
-    rep.remaining = options.iterations / replicas +
-                    (r < options.iterations % replicas ? 1 : 0);
+        t0 * std::pow(kAnnealLadderRatio, static_cast<double>(r));
+    rep.remaining = options_.iterations / replicas +
+                    (r < options_.iterations % replicas ? 1 : 0);
   }
 
-  const std::size_t workers = std::min(options.threads, replicas);
+  const std::size_t workers =
+      std::min(util::resolve_thread_count(options_.threads), replicas);
   std::unique_ptr<util::ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<util::ThreadPool>(workers);
   auto run_parallel = [&](auto&& fn) {
@@ -292,8 +267,8 @@ AllocatorResult temper_allocate(const SystemModel& model, util::Rng& rng,
     }
   };
 
-  // Initial decode of every replica's shuffled start order (counted like the
-  // serial engine's first evaluation), in parallel.
+  // Initial decode of every replica's shuffled start order (one evaluation
+  // each), in parallel.
   run_parallel([&](std::size_t r) {
     TemperReplica& rep = reps[r];
     rep.fitness = decode_order_into(*rep.ctx, rep.order).fitness;
@@ -320,17 +295,17 @@ AllocatorResult temper_allocate(const SystemModel& model, util::Rng& rng,
                          {{"phase", "Annealing"},
                           {"replica", std::uint64_t{r}},
                           {"sweep", std::uint64_t{sweep}}});
-      const std::size_t steps = options.exchange_interval == 0
+      const std::size_t steps = options_.exchange_interval == 0
                                     ? rep.remaining
-                                    : std::min(options.exchange_interval,
+                                    : std::min(options_.exchange_interval,
                                                rep.remaining);
-      temper_steps(rep, options, steps);
+      temper_steps(rep, steps);
       rep_span.add("temperature", rep.temperature);
       rep_span.add("worth", static_cast<double>(rep.fitness.total_worth));
     });
     sweeps_total.add(1);
 
-    if (options.exchange_interval != 0 && replicas >= 2) {
+    if (options_.exchange_interval != 0 && replicas >= 2) {
       // Adjacent-pair exchange with alternating parity: pairs (0,1),(2,3),..
       // on even sweeps, (1,2),(3,4),.. on odd ones.  The swap draw is always
       // consumed so the exchange stream's position never depends on the
@@ -375,66 +350,6 @@ AllocatorResult temper_allocate(const SystemModel& model, util::Rng& rng,
   DecodeContext replay_ctx(model);
   best.allocation =
       replay_ctx.materialize(decode_order_into(replay_ctx, best_order)).allocation;
-  best.order = std::move(best_order);
-  best.evaluations = evaluations;
-  return best;
-}
-}  // namespace
-
-AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
-                                             util::Rng& rng) const {
-  if (options_.threads >= 1) return temper_allocate(model, rng, options_);
-  // Legacy serial engine (threads == 0): one chain driven off the caller's
-  // rng, byte-identical to the pre-tempering implementation.
-  const std::size_t q = model.num_strings();
-  std::vector<StringId> current = identity_order(model);
-  rng.shuffle(current);
-  DecodeContext ctx(model);
-  DecodeOutcome current_decoded = decode_order_into(ctx, current);
-
-  Fitness best_fitness = current_decoded.fitness;
-  std::vector<StringId> best_order = current;
-  std::size_t evaluations = 1;
-
-  obs::Span span(obs::names::kSearchAnneal, {{"phase", "Annealing"}});
-  double temperature = options_.initial_temperature > 0.0
-                           ? options_.initial_temperature
-                           : 0.1 * std::max(1, model.total_worth_available());
-  for (std::size_t iter = 0; iter < options_.iterations && q >= 2; ++iter) {
-    const std::size_t i = rng.bounded(q);
-    std::size_t j = rng.bounded(q);
-    while (j == i) j = rng.bounded(q);
-    std::swap(current[i], current[j]);
-    const DecodeOutcome neighbor = decode_order_into(ctx, current);
-    ++evaluations;
-
-    const double delta = energy(neighbor.fitness) - energy(current_decoded.fitness);
-    const bool accept =
-        delta >= 0.0 || rng.uniform() < std::exp(delta / std::max(temperature, 1e-9));
-    if (accept) {
-      current_decoded = neighbor;
-      if (best_fitness < current_decoded.fitness) {
-        best_fitness = current_decoded.fitness;
-        best_order = current;
-        obs::trace_event(obs::names::kSearchImprove,
-                         {{"phase", "Annealing"},
-                          {"iteration", std::uint64_t{iter}},
-                          {"temperature", temperature},
-                          {"worth", best_fitness.total_worth},
-                          {"slackness", best_fitness.slackness}});
-      }
-    } else {
-      std::swap(current[i], current[j]);  // undo
-    }
-    temperature *= options_.cooling;
-  }
-  span.add("evaluations", static_cast<double>(evaluations));
-  span.add("worth", static_cast<double>(best_fitness.total_worth));
-
-  AllocatorResult best;
-  best.fitness = best_fitness;
-  best.allocation =
-      ctx.materialize(decode_order_into(ctx, best_order)).allocation;
   best.order = std::move(best_order);
   best.evaluations = evaluations;
   return best;

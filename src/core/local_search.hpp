@@ -13,27 +13,23 @@
 namespace tsce::core {
 
 struct HillClimbOptions {
-  /// Random restarts; the best local optimum wins.
+  /// Random restarts; the best local optimum wins.  With a budget set, at
+  /// most max_evaluations restarts run (each needs at least one decode).
   std::size_t restarts = 4;
-  /// Neighbor evaluations per climb before giving up on an improvement.
-  std::size_t max_neighbors_per_step = 64;
-  /// Total decode-evaluation budget across all restarts (0 = unlimited).
-  /// The deterministic engine (threads >= 1) splits the budget evenly across
-  /// restarts so results do not depend on the execution schedule.
+  /// Total decode-evaluation budget across all restarts (0 = unlimited),
+  /// split evenly across the restarts so results do not depend on the
+  /// execution schedule.
   std::size_t max_evaluations = 0;
-  /// Engine selector.  0 (default) is the legacy serial engine: restarts are
-  /// driven off the caller's rng stream and max_evaluations is one global
-  /// budget.  Any value >= 1 selects the deterministic engine: each restart
-  /// derives its rng stream from its index (util::Rng::stream) and gets an
-  /// equal budget slice, so the result is byte-identical at 1, 2, or N
-  /// threads (1 runs inline with no pool).
-  std::size_t threads = 0;
+  /// Worker threads for the restarts (1 runs inline with no pool, 0 uses
+  /// std::thread::hardware_concurrency()).  Each restart derives its rng
+  /// stream from its index (util::Rng::stream), so the result is
+  /// byte-identical at any thread count.
+  std::size_t threads = 1;
   /// When set, restart 0 climbs from the LP-guided ordering
   /// (lp_guided_order: strings ranked by the fractional relaxation's deployed
   /// fractions) instead of a random shuffle; later restarts still shuffle.
-  /// The rng draw the shuffle would have consumed is still consumed, so
-  /// toggling this changes only restart 0's start point, not the random
-  /// starts of the other restarts.
+  /// Restart 0's stream still performs its shuffle, so toggling this changes
+  /// only restart 0's start point, not the other restarts.
   bool lp_guided_start = false;
 };
 
@@ -52,39 +48,31 @@ class HillClimb final : public Allocator {
 };
 
 struct AnnealingOptions {
-  /// Total Metropolis steps.  The serial engine runs them as one chain; the
-  /// tempering engine (threads >= 1) splits them evenly across the replicas,
-  /// so the decode-evaluation budget is the same at any replica count.
+  /// Total Metropolis steps, split evenly across the replicas, so the
+  /// decode-evaluation budget is the same at any replica count.
   std::size_t iterations = 2000;
   /// Initial temperature in worth units; 0 picks 10% of available worth.
   double initial_temperature = 0.0;
-  /// Geometric cooling rate per iteration.
-  double cooling = 0.998;
-  /// Tempering engine only: replicas on the geometric temperature ladder
-  /// (replica r starts at initial_temperature * ladder_ratio^r).  0 and 1
-  /// both run a single chain (no exchanges).
+  /// Replicas on the geometric temperature ladder (replica r starts at
+  /// initial_temperature * 1.7^r and cools by 0.998 per step).  0 and 1 both
+  /// run a single chain (no exchanges).
   std::size_t replicas = 4;
-  /// Tempering engine only: Metropolis steps per replica between exchange
-  /// barriers.  0 disables exchanges (independent chains, best-of fold).
+  /// Metropolis steps per replica between exchange barriers.  0 disables
+  /// exchanges (independent chains, best-of fold).
   std::size_t exchange_interval = 64;
-  /// Tempering engine only: temperature ratio between adjacent replicas.
-  double ladder_ratio = 1.7;
-  /// Engine selector, mirroring HillClimbOptions::threads.  0 (default) is
-  /// the legacy serial single-chain engine driven off the caller's rng.  Any
-  /// value >= 1 selects the deterministic parallel tempering engine: replica
-  /// r derives its rng stream from its index (util::Rng::stream) and owns a
-  /// prefix-reuse DecodeContext; replicas step in fixed-size sweeps, exchange
-  /// at deterministic barriers from a dedicated exchange stream, and the fold
-  /// is by replica index — so the result is byte-identical at 1, 2, or N
-  /// threads (1 runs inline with no pool; workers cap at the replica count).
-  std::size_t threads = 0;
+  /// Worker threads for the replicas (1 runs inline with no pool, 0 uses
+  /// std::thread::hardware_concurrency(); workers cap at the replica count).
+  /// Replica r derives its rng stream from its index (util::Rng::stream),
+  /// exchanges draw from a dedicated stream at deterministic barriers, and
+  /// the fold is by replica index, so the result is byte-identical at any
+  /// thread count.
+  std::size_t threads = 1;
 };
 
 /// Simulated annealing over string orderings.  The acceptance energy is the
 /// lexicographic fitness flattened to worth + slackness (slackness in [0,1]
-/// can never outweigh a 1-unit worth difference).  With threads >= 1 the
-/// engine is deterministic parallel tempering (see AnnealingOptions::threads
-/// and DESIGN.md §10).
+/// can never outweigh a 1-unit worth difference).  The engine is
+/// deterministic parallel tempering (see AnnealingOptions and DESIGN.md §10).
 class SimulatedAnnealing final : public Allocator {
  public:
   explicit SimulatedAnnealing(AnnealingOptions options = {}) : options_(options) {}

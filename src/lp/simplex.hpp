@@ -2,30 +2,26 @@
 /// Bounded-variable two-phase revised simplex.
 ///
 /// This solver replaces the commercial package (Lingo 9.0) the paper used for
-/// its upper-bound computation (§7).  Two engines share one API:
+/// its upper-bound computation (§7).  Constraints are stored in CSC/CSR form;
+/// the basis is held as a Markowitz-pivot LU factorisation (sparse_lu.hpp)
+/// with product-form eta updates, refactorised every `refactor_interval`
+/// pivots or when the FTRAN/BTRAN pivot cross-check drifts.  Sparse
+/// FTRAN/BTRAN exploit rhs sparsity, and Devex pricing runs over
+/// incrementally maintained reduced costs (recomputed exactly at every
+/// refactorisation; optimality is only declared from exact ones).
+/// Per-iteration work scales with the factor and column nonzeros instead of
+/// m², which is what lets the upper-bound LP run at fleet scale (hundreds of
+/// machines, thousands of strings).  A dense explicit-inverse engine over the
+/// same computational form (lp/solver_base.hpp) lives in the tests as the
+/// cross-check oracle (tests/lp/sparse_dense_property_test.cpp).
 ///
-/// * **Sparse (default):** CSC/CSR constraint storage, a Markowitz-pivot LU
-///   factorisation of the basis (sparse_lu.hpp) with product-form eta
-///   updates, refactorisation every `refactor_interval` pivots or when the
-///   FTRAN/BTRAN pivot cross-check drifts, sparse FTRAN/BTRAN exploiting
-///   rhs sparsity, and Devex pricing with incrementally maintained reduced
-///   costs (recomputed exactly at every refactorisation; optimality is only
-///   declared from exact ones).  Per-iteration work scales with the factor
-///   and column nonzeros instead of m², which is what lets the upper-bound
-///   LP run at fleet scale (hundreds of machines, thousands of strings).
-/// * **Dense (retained):** explicit row-major basis inverse with
-///   product-form updates and Dantzig pricing — O(m²) memory and work.  Kept
-///   as the independently-implemented cross-check oracle for the sparse
-///   engine (tests/lp/sparse_dense_property_test.cpp) and as the benchmark
-///   baseline; select with SimplexOptions::engine.
-///
-/// Both engines share the computational form: every row r becomes
-/// a_r^T x + s_r = rhs_r with a slack bounded by the row relation ([0,inf)
-/// for <=, (-inf,0] for >=, [0,0] for =).  The slack basis is the starting
-/// point; when it is bound-infeasible, a phase-1 LP with artificial columns
-/// drives the infeasibility to zero first.  Degenerate runs switch pricing
-/// to Bland's rule, guaranteeing termination.  Duals/shadow prices are exact
-/// at optimality.  Both engines are deterministic: a fixed input yields a
+/// Computational form: every row r becomes a_r^T x + s_r = rhs_r with a
+/// slack bounded by the row relation ([0,inf) for <=, (-inf,0] for >=, [0,0]
+/// for =).  The slack basis is the starting point; when it is
+/// bound-infeasible, a phase-1 LP with artificial columns drives the
+/// infeasibility to zero first.  Degenerate runs switch pricing to Bland's
+/// rule, guaranteeing termination.  Duals/shadow prices are exact at
+/// optimality.  The solver is deterministic: a fixed input yields a
 /// bit-identical solution path (index-ordered scans, deterministic
 /// tie-breaks, no randomisation).
 
@@ -48,11 +44,6 @@ enum class SolveStatus {
 };
 
 [[nodiscard]] const char* to_string(SolveStatus status) noexcept;
-
-enum class SimplexEngine : std::uint8_t {
-  kSparse,  ///< LU + eta updates + Devex (default)
-  kDense,   ///< explicit basis inverse (cross-check oracle / baseline)
-};
 
 /// Per-variable basis role in the computational form's column order:
 /// structural variables first, then one slack per row.
@@ -79,18 +70,16 @@ struct SimplexOptions {
   double feasibility_tol = 1e-7;
   /// Consecutive degenerate iterations before switching to Bland's rule.
   std::size_t degeneracy_limit = 200;
-  /// Engine selection; kSparse unless a dense cross-check is wanted.
-  SimplexEngine engine = SimplexEngine::kSparse;
-  /// Sparse engine: eta-file length that forces a refactorisation.
+  /// Eta-file length that forces a refactorisation.
   std::size_t refactor_interval = 64;
-  /// Sparse engine: relative FTRAN-vs-BTRAN pivot disagreement that forces
-  /// an early refactorisation (and a retry of the iteration).
+  /// Relative FTRAN-vs-BTRAN pivot disagreement that forces an early
+  /// refactorisation (and a retry of the iteration).
   double drift_tol = 1e-7;
-  /// Optional starting basis for the sparse engine (ignored by the dense
-  /// one).  Must match the problem's shape and be primal feasible after
-  /// factorisation; otherwise the solver silently falls back to the slack
-  /// basis, so a stale snapshot can never produce a wrong answer — re-solves
-  /// of a perturbed problem (the what-if service path) just lose the speedup.
+  /// Optional starting basis.  Must match the problem's shape and be primal
+  /// feasible after factorisation; otherwise the solver silently falls back
+  /// to the slack basis, so a stale snapshot can never produce a wrong
+  /// answer — re-solves of a perturbed problem (the what-if service path)
+  /// just lose the speedup.
   /// The pointed-to basis must outlive the solve() call.
   const SimplexBasis* basis_warm_start = nullptr;
 };
@@ -107,7 +96,7 @@ struct LpSolution {
   std::vector<double> row_duals;
   std::size_t iterations = 0;
   std::size_t phase1_iterations = 0;
-  /// Sparse engine: number of basis (re)factorisations performed.
+  /// Number of basis (re)factorisations performed.
   std::size_t refactorisations = 0;
   /// Final basis at kOptimal (empty otherwise, and empty when a basic
   /// artificial survives a degenerate phase 1); feed back through

@@ -60,7 +60,7 @@ inline constexpr std::string_view kSearchExactBranch = "search.exact.branch";
 inline constexpr std::string_view kSearchClass = "search.class";
 inline constexpr std::string_view kSearchImprove = "search.improve";
 
-// --- parallel tempering (annealing engine with threads >= 1) ---------------
+// --- parallel tempering (the annealing engine) -----------------------------
 // Spans: one per sweep (driver side) and one per replica step (worker side).
 // Events: one per exchange attempt at a sweep barrier.  Counters tally
 // sweeps, exchange attempts, and accepted swaps process-wide.

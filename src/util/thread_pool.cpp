@@ -18,6 +18,11 @@ void raise_max(std::atomic<std::uint64_t>& cell, std::uint64_t v) noexcept {
 
 }  // namespace
 
+std::size_t resolve_thread_count(std::size_t requested) noexcept {
+  if (requested != 0) return requested;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::Stats& ThreadPool::global_stats() noexcept {
   static Stats stats;
   return stats;
@@ -38,9 +43,7 @@ void ThreadPool::note_submitted(std::size_t queue_depth) noexcept {
 }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  num_threads = resolve_thread_count(num_threads);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

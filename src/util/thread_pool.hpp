@@ -31,6 +31,11 @@
 
 namespace tsce::util {
 
+/// The one thread-count rule of every threads/eval_threads option: 0 means
+/// std::thread::hardware_concurrency() (at least 1), anything else is taken
+/// as given.
+[[nodiscard]] std::size_t resolve_thread_count(std::size_t requested) noexcept;
+
 class ThreadPool {
  public:
   /// Process-wide tallies across every pool instance.  Counters are updated

@@ -37,8 +37,9 @@ TEST(HillClimb, ProducesFeasibleAllocation) {
 }
 
 TEST(HillClimb, NeverWorseThanItsOwnStartingPoints) {
-  // With one restart and a fixed seed, the climb starts from a random order
-  // and only accepts improvements: the result dominates that start.
+  // With one restart and a fixed seed, the climb starts from the order
+  // restart 0's stream shuffles and only accepts improvements: the result
+  // dominates that start.
   const SystemModel m = contended(3);
   HillClimbOptions options;
   options.restarts = 1;
@@ -46,8 +47,9 @@ TEST(HillClimb, NeverWorseThanItsOwnStartingPoints) {
   util::Rng rng(4);
   const auto result = HillClimb(options).allocate(m, rng);
   util::Rng rng_replay(4);
+  util::Rng restart_rng = util::Rng::stream(rng_replay(), 0);
   auto start = identity_order(m);
-  rng_replay.shuffle(start);
+  restart_rng.shuffle(start);
   const auto start_fitness = decode_order(m, start).fitness;
   EXPECT_FALSE(result.fitness < start_fitness);
 }
@@ -68,13 +70,12 @@ TEST(HillClimb, LpGuidedStartDominatesTheGuidedSeed) {
 }
 
 TEST(HillClimb, LpGuidedStartLeavesOtherRestartsUnchanged) {
-  // The guided start replaces only restart 0's shuffled order; the rng draws
-  // are still consumed, so in the deterministic engine restarts 1..N-1 see
-  // identical streams with the option on or off.
+  // The guided start replaces only restart 0's shuffled order; every restart
+  // owns an index-derived stream, so restarts 1..N-1 see identical streams
+  // with the option on or off.
   const SystemModel m = contended(10);
   HillClimbOptions base;
   base.restarts = 3;
-  base.threads = 1;  // deterministic engine: per-restart streams
   base.max_evaluations = 300;
   HillClimbOptions guided = base;
   guided.lp_guided_start = true;
@@ -98,13 +99,15 @@ TEST(HillClimb, RespectsEvaluationBudget) {
   options.max_evaluations = 50;
   util::Rng rng(6);
   const auto result = HillClimb(options).allocate(m, rng);
-  EXPECT_LE(result.evaluations, 55u);  // budget plus the in-flight neighbor
+  // 100 restarts cannot each decode once within 50 evaluations: the restart
+  // count is clamped to the budget.
+  EXPECT_LE(result.evaluations, 55u);
 }
 
 TEST(HillClimb, ParallelRestartsDeterministicAcrossThreadCounts) {
-  // With threads >= 1 every restart derives its rng stream from its index, so
-  // the result must be identical at any worker count (and across reruns) —
-  // including threads = 1, the inline no-pool execution of the same engine.
+  // Every restart derives its rng stream from its index, so the result must
+  // be identical at any worker count (and across reruns) — including
+  // threads = 1, the inline no-pool execution.
   const SystemModel m = contended(15);
   HillClimbOptions options;
   options.restarts = 4;
@@ -162,7 +165,7 @@ TEST(SimulatedAnnealing, ProducesFeasibleAllocation) {
   options.iterations = 300;
   const auto result = SimulatedAnnealing(options).allocate(m, rng);
   EXPECT_TRUE(analysis::check_feasibility(m, result.allocation).feasible());
-  EXPECT_EQ(result.evaluations, 301u);
+  EXPECT_EQ(result.evaluations, options.iterations + options.replicas);
 }
 
 TEST(SimulatedAnnealing, TracksBestNotCurrent) {
@@ -197,29 +200,6 @@ TEST(SimulatedAnnealing, ColdAnnealingIsGreedy) {
   EXPECT_FALSE(long_result.fitness < short_result.fitness);
 }
 
-TEST(SimulatedAnnealing, LegacyEngineUnchangedByTemperingKnobs) {
-  // threads == 0 selects the legacy serial chain; the tempering-only knobs
-  // (replicas, exchange_interval, ladder_ratio) must not perturb it, so a
-  // fixed seed replays byte-identically whatever they are set to.
-  const SystemModel m = contended(19);
-  auto run = [&](AnnealingOptions options) {
-    options.iterations = 250;
-    options.threads = 0;
-    util::Rng rng(20);
-    return SimulatedAnnealing(options).allocate(m, rng);
-  };
-  const auto baseline = run({});
-  AnnealingOptions weird;
-  weird.replicas = 9;
-  weird.exchange_interval = 1;
-  weird.ladder_ratio = 5.0;
-  const auto knobbed = run(weird);
-  EXPECT_EQ(baseline.order, knobbed.order);
-  EXPECT_EQ(baseline.fitness.total_worth, knobbed.fitness.total_worth);
-  EXPECT_EQ(baseline.fitness.slackness, knobbed.fitness.slackness);
-  EXPECT_EQ(baseline.evaluations, knobbed.evaluations);
-}
-
 TEST(SimulatedAnnealing, TemperingDeterministicAcrossThreadCounts) {
   const SystemModel m = contended(21);
   auto run = [&](std::size_t threads) {
@@ -247,15 +227,14 @@ TEST(SimulatedAnnealing, TemperingDeterministicAcrossThreadCounts) {
 }
 
 TEST(SimulatedAnnealing, TemperingBudgetMatchesSerialEngine) {
-  // The tempering engine splits `iterations` across the replicas and each
-  // replica charges one decode for its start order, so the total evaluation
-  // count is iterations + replicas — the serial engine's iterations + 1
-  // generalized to N chains.  Holds whether or not replicas divides evenly.
+  // Tempering splits `iterations` across the replicas and each replica
+  // charges one decode for its start order, so the total evaluation count is
+  // iterations + replicas — a single chain's iterations + 1 generalized to N
+  // chains.  Holds whether or not replicas divides evenly.
   const SystemModel m = contended(23);
   AnnealingOptions options;
   options.iterations = 305;
   options.replicas = 4;
-  options.threads = 1;
   util::Rng rng(24);
   const auto result = SimulatedAnnealing(options).allocate(m, rng);
   EXPECT_EQ(result.evaluations, 305u + 4u);
@@ -269,7 +248,6 @@ TEST(SimulatedAnnealing, DegenerateReplicaCounts) {
     AnnealingOptions options;
     options.iterations = 200;
     options.replicas = replicas;
-    options.threads = 1;
     util::Rng rng(26);
     return SimulatedAnnealing(options).allocate(m, rng);
   };
@@ -306,8 +284,8 @@ TEST(SimulatedAnnealing, ExchangeIntervalZeroRunsIndependentChains) {
 }
 
 TEST(SimulatedAnnealing, TemperingTracksBestNotCurrent) {
-  // The reported order must replay to the reported fitness (same invariant
-  // the serial engine keeps, now across replica exchanges).
+  // The reported order must replay to the reported fitness, across replica
+  // exchanges too.
   const SystemModel m = contended(29);
   AnnealingOptions options;
   options.iterations = 400;

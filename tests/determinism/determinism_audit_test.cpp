@@ -1,6 +1,7 @@
 /// \file determinism_audit_test.cpp
 /// Determinism auditor: the permutation searches must produce byte-identical
-/// results at 1, 2, and 8 worker threads on every workload scenario.
+/// results at 1, 2, and 8 worker threads, and at 0 (hardware concurrency),
+/// on every workload scenario.
 ///
 /// This is the test the TSan tier runs — a data race that perturbs a fitness
 /// value or an ordering shows up here as a trace mismatch even when it does
@@ -10,7 +11,7 @@
 ///
 /// Models are deliberately small (3 machines / 12 strings, reduced GA and
 /// enumeration budgets): under ThreadSanitizer each decode is ~10x slower,
-/// and the audit sweeps 3 scenarios x 3 thread counts x 6 search strategies
+/// and the audit sweeps 3 scenarios x 4 thread counts x 6 search strategies
 /// (GENITOR trace, PSG, hill climb, tempering, exact branch split,
 /// class-based).
 
@@ -40,7 +41,7 @@ using workload::Scenario;
 
 constexpr Scenario kScenarios[] = {Scenario::kHighlyLoaded, Scenario::kQosLimited,
                                    Scenario::kLightlyLoaded};
-constexpr std::size_t kThreadCounts[] = {1, 2, 8};
+constexpr std::size_t kThreadCounts[] = {1, 2, 8, 0};
 
 /// Bit-exact rendering: worth plus the slackness double's raw bit pattern.
 std::string fitness_key(const analysis::Fitness& f) {
@@ -175,17 +176,6 @@ TEST(DeterminismAudit, HillClimbResultIdenticalAcrossThreadCounts) {
           << "scenario " << static_cast<int>(scenario) << " at "
           << kThreadCounts[i] << " threads";
     }
-  }
-}
-
-TEST(DeterminismAudit, SerialAnnealingReplaysByteIdentically) {
-  // The legacy serial chain (threads == 0): a rerun from the same seed must
-  // replay the identical trajectory even while the other tests' thread pools
-  // have come and gone in this process.
-  for (const Scenario scenario : kScenarios) {
-    const SystemModel model = audit_model(scenario);
-    EXPECT_EQ(annealing_result(model, 0), annealing_result(model, 0))
-        << "scenario " << static_cast<int>(scenario);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "lp/dense_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "lp/upper_bound.hpp"
 #include "model/system_model.hpp"
@@ -10,12 +11,6 @@
 
 namespace tsce::lp {
 namespace {
-
-LpSolution solve_with(const LpProblem& p, SimplexEngine engine,
-                      SimplexOptions options = {}) {
-  options.engine = engine;
-  return solve(p, options);
-}
 
 /// Random bounded LP in the shape the upper-bound builder emits: variables in
 /// [0, 1] (a few with wider or one-sided bounds), mixed <= / = / >= rows,
@@ -59,8 +54,8 @@ LpProblem random_bounded_lp(util::Rng& rng) {
   return p;
 }
 
-/// The dense engine is an independently-implemented oracle: on every random
-/// instance both engines must agree on the status and (when optimal) on the
+/// The dense oracle (dense_simplex.hpp) is implemented independently of the
+/// library's sparse engine: on every random instance both must agree on the status and (when optimal) on the
 /// objective to 1e-6.
 class SparseVsDense : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -68,8 +63,8 @@ TEST_P(SparseVsDense, SameStatusAndObjective) {
   util::Rng rng(GetParam());
   for (int instance = 0; instance < 8; ++instance) {
     const LpProblem p = random_bounded_lp(rng);
-    const LpSolution sparse = solve_with(p, SimplexEngine::kSparse);
-    const LpSolution dense = solve_with(p, SimplexEngine::kDense);
+    const LpSolution sparse = solve(p);
+    const LpSolution dense = solve_dense(p);
     ASSERT_EQ(sparse.status, dense.status)
         << "instance " << instance << ": sparse=" << to_string(sparse.status)
         << " dense=" << to_string(dense.status);
@@ -89,8 +84,8 @@ TEST(SparseVsDense, AgreeOnInfeasible) {
   p.add_coefficient(r1, x, 1.0);
   const auto r2 = p.add_row(Relation::kGreaterEqual, 2.0);
   p.add_coefficient(r2, x, 1.0);
-  EXPECT_EQ(solve_with(p, SimplexEngine::kSparse).status, SolveStatus::kInfeasible);
-  EXPECT_EQ(solve_with(p, SimplexEngine::kDense).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(solve(p).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(solve_dense(p).status, SolveStatus::kInfeasible);
 }
 
 TEST(SparseVsDense, AgreeOnUnbounded) {
@@ -99,8 +94,8 @@ TEST(SparseVsDense, AgreeOnUnbounded) {
   const auto y = p.add_variable(0.0, kInf, 0.0);
   const auto r = p.add_row(Relation::kLessEqual, 1.0);
   p.add_coefficient(r, y, 1.0);
-  EXPECT_EQ(solve_with(p, SimplexEngine::kSparse).status, SolveStatus::kUnbounded);
-  EXPECT_EQ(solve_with(p, SimplexEngine::kDense).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(solve(p).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(solve_dense(p).status, SolveStatus::kUnbounded);
 }
 
 TEST(SparseVsDense, AgreeOnDegenerateOptimum) {
@@ -116,8 +111,8 @@ TEST(SparseVsDense, AgreeOnDegenerateOptimum) {
     p.add_coefficient(r, x, cx);
     p.add_coefficient(r, y, cy);
   }
-  const LpSolution sparse = solve_with(p, SimplexEngine::kSparse);
-  const LpSolution dense = solve_with(p, SimplexEngine::kDense);
+  const LpSolution sparse = solve(p);
+  const LpSolution dense = solve_dense(p);
   ASSERT_EQ(sparse.status, SolveStatus::kOptimal);
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sparse.objective, 4.0, 1e-8);
@@ -128,8 +123,8 @@ TEST(SparseVsDense, RowDualsAgreeAtOptimality) {
   util::Rng rng(1234);
   for (int instance = 0; instance < 20; ++instance) {
     const LpProblem p = random_bounded_lp(rng);
-    const LpSolution sparse = solve_with(p, SimplexEngine::kSparse);
-    const LpSolution dense = solve_with(p, SimplexEngine::kDense);
+    const LpSolution sparse = solve(p);
+    const LpSolution dense = solve_dense(p);
     ASSERT_EQ(sparse.status, dense.status);
     if (sparse.status != SolveStatus::kOptimal) continue;
     // Duals can differ at degenerate vertices (multiple optimal bases), so
@@ -146,8 +141,8 @@ TEST(SparseVsDense, RowDualsAgreeAtOptimality) {
 TEST(SparseSimplex, DeterministicSolutionPath) {
   util::Rng rng(99);
   const LpProblem p = random_bounded_lp(rng);
-  const LpSolution a = solve_with(p, SimplexEngine::kSparse);
-  const LpSolution b = solve_with(p, SimplexEngine::kSparse);
+  const LpSolution a = solve(p);
+  const LpSolution b = solve(p);
   ASSERT_EQ(a.status, b.status);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.refactorisations, b.refactorisations);
@@ -178,10 +173,10 @@ TEST(SparseSimplex, RefactorIntervalTriggersRefactorisations) {
 
   SimplexOptions tight;
   tight.refactor_interval = 2;
-  const LpSolution frequent = solve_with(p, SimplexEngine::kSparse, tight);
+  const LpSolution frequent = solve(p, tight);
   SimplexOptions loose;
   loose.refactor_interval = 1000;
-  const LpSolution rare = solve_with(p, SimplexEngine::kSparse, loose);
+  const LpSolution rare = solve(p, loose);
 
   ASSERT_EQ(frequent.status, SolveStatus::kOptimal);
   ASSERT_EQ(rare.status, SolveStatus::kOptimal);
@@ -209,8 +204,8 @@ TEST(SparseSimplex, ZeroDriftToleranceForcesEagerRefactorisation) {
   }
   SimplexOptions options;
   options.drift_tol = 0.0;
-  const LpSolution eager = solve_with(p, SimplexEngine::kSparse, options);
-  const LpSolution normal = solve_with(p, SimplexEngine::kSparse);
+  const LpSolution eager = solve(p, options);
+  const LpSolution normal = solve(p);
   ASSERT_EQ(eager.status, SolveStatus::kOptimal);
   ASSERT_EQ(normal.status, SolveStatus::kOptimal);
   EXPECT_NEAR(eager.objective, normal.objective, 1e-8);
@@ -224,14 +219,14 @@ TEST(SparseSimplex, WarmStartFromOwnBasisSolvesInZeroIterations) {
   const auto r = p.add_row(Relation::kLessEqual, 4.0);
   p.add_coefficient(r, x, 1.0);
   p.add_coefficient(r, y, 1.0);
-  const LpSolution cold = solve_with(p, SimplexEngine::kSparse);
+  const LpSolution cold = solve(p);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
   ASSERT_FALSE(cold.basis.empty());
   ASSERT_EQ(cold.basis.status.size(), p.num_variables() + p.num_rows());
 
   SimplexOptions warm;
   warm.basis_warm_start = &cold.basis;
-  const LpSolution hot = solve_with(p, SimplexEngine::kSparse, warm);
+  const LpSolution hot = solve(p, warm);
   ASSERT_EQ(hot.status, SolveStatus::kOptimal);
   EXPECT_NEAR(hot.objective, cold.objective, 1e-10);
   EXPECT_EQ(hot.iterations, 0u);
@@ -240,10 +235,10 @@ TEST(SparseSimplex, WarmStartFromOwnBasisSolvesInZeroIterations) {
 TEST(SparseSimplex, WarmStartSpeedsUpPerturbedResolve) {
   util::Rng rng(17);
   LpProblem base = random_bounded_lp(rng);
-  LpSolution cold = solve_with(base, SimplexEngine::kSparse);
+  LpSolution cold = solve(base);
   while (cold.status != SolveStatus::kOptimal || cold.iterations == 0) {
     base = random_bounded_lp(rng);
-    cold = solve_with(base, SimplexEngine::kSparse);
+    cold = solve(base);
   }
 
   // Same structure, slightly perturbed costs: the old basis is a legal
@@ -262,8 +257,8 @@ TEST(SparseSimplex, WarmStartSpeedsUpPerturbedResolve) {
 
   SimplexOptions warm;
   warm.basis_warm_start = &cold.basis;
-  const LpSolution hot = solve_with(bumped, SimplexEngine::kSparse, warm);
-  const LpSolution scratch = solve_with(bumped, SimplexEngine::kSparse);
+  const LpSolution hot = solve(bumped, warm);
+  const LpSolution scratch = solve(bumped);
   ASSERT_EQ(hot.status, scratch.status);
   if (hot.status == SolveStatus::kOptimal) {
     EXPECT_NEAR(hot.objective, scratch.objective, 1e-7);
