@@ -28,6 +28,95 @@ namespace {
 using detail::SolverBase;
 using detail::VarStatus;
 
+/// Pricing score of a column that may not enter.  Eligible scores are
+/// d² / γ ≥ 0, so Bland's rule is "first score ≥ 0" and Devex pricing's
+/// "largest score > 0" never picks an ineligible column.
+constexpr double kIneligible = -1.0;
+
+/// Cached pricing scores with a running maximum per block of kBlock
+/// columns.  A block maximum is exact except in blocks marked dirty — those
+/// where the column holding the maximum was rescored lower — and dirty
+/// blocks are rescanned before each choice.  Choosing a column then reads
+/// the n/kBlock block maxima and one block instead of all n scores.
+class PricingScores {
+ public:
+  /// Sizes for \p n columns, all kIneligible.
+  void reset(std::size_t n) {
+    score_.assign(n, kIneligible);
+    block_max_.assign((n + kBlock - 1) / kBlock, kIneligible);
+    dirty_.assign(block_max_.size(), 0);
+    dirty_list_.clear();
+    dirty_list_.reserve(block_max_.size());
+  }
+
+  void set(std::size_t j, double score) {
+    const double old = score_[j];
+    score_[j] = score;
+    const std::size_t b = j / kBlock;
+    if (score >= block_max_[b]) {
+      block_max_[b] = score;
+    } else if (old == block_max_[b] && !dirty_[b]) {
+      dirty_[b] = 1;
+      dirty_list_.push_back(b);
+    }
+  }
+
+  /// First index of the largest score if that score is positive, else -1
+  /// (Devex: the steepest eligible column, ties to the lowest index).
+  [[nodiscard]] std::ptrdiff_t best() {
+    refresh();
+    double top = 0.0;
+    std::size_t top_block = block_max_.size();
+    for (std::size_t b = 0; b < block_max_.size(); ++b) {
+      if (block_max_[b] > top) {
+        top = block_max_[b];
+        top_block = b;
+      }
+    }
+    if (top_block == block_max_.size()) return -1;
+    return first_in_block(top_block, [top](double v) { return v == top; });
+  }
+
+  /// First index with a score >= 0, else -1 (Bland's rule).
+  [[nodiscard]] std::ptrdiff_t first_eligible() {
+    refresh();
+    for (std::size_t b = 0; b < block_max_.size(); ++b) {
+      if (block_max_[b] >= 0.0) {
+        return first_in_block(b, [](double v) { return v >= 0.0; });
+      }
+    }
+    return -1;
+  }
+
+ private:
+  static constexpr std::size_t kBlock = 64;
+
+  void refresh() {
+    for (const std::size_t b : dirty_list_) {
+      const std::size_t end = std::min(score_.size(), (b + 1) * kBlock);
+      double top = kIneligible;
+      for (std::size_t j = b * kBlock; j < end; ++j) top = std::max(top, score_[j]);
+      block_max_[b] = top;
+      dirty_[b] = 0;
+    }
+    dirty_list_.clear();
+  }
+
+  template <typename Match>
+  [[nodiscard]] std::ptrdiff_t first_in_block(std::size_t b, Match match) const {
+    const std::size_t end = std::min(score_.size(), (b + 1) * kBlock);
+    for (std::size_t j = b * kBlock; j < end; ++j) {
+      if (match(score_[j])) return static_cast<std::ptrdiff_t>(j);
+    }
+    return -1;
+  }
+
+  std::vector<double> score_;
+  std::vector<double> block_max_;
+  std::vector<std::uint8_t> dirty_;
+  std::vector<std::size_t> dirty_list_;
+};
+
 /// Process-wide LP telemetry; handles resolved once (registry lookups are
 /// name-hashed, the returned references are stable for the process).
 struct LpMetrics {
@@ -45,9 +134,10 @@ struct LpMetrics {
 };
 
 // ---------------------------------------------------------------------------
-// Sparse engine: LU-factorised basis with product-form eta updates, sparse
-// FTRAN/BTRAN, and Devex pricing over incrementally maintained reduced
-// costs.  Per-iteration work scales with factor/column nonzeros, not m².
+// Sparse engine: LU-factorised basis with product-form eta updates,
+// hyper-sparse FTRAN/BTRAN, and Devex pricing over incrementally maintained
+// reduced costs and cached scores.  Per-iteration work scales with the
+// nonzeros a pivot touches, not with m or n.
 // ---------------------------------------------------------------------------
 
 class SparseSolver : private SolverBase {
@@ -90,8 +180,8 @@ class SparseSolver : private SolverBase {
         return solution;
       }
       seal_artificials();
-      recompute_duals();  // same basis, new objective
       gamma_.assign(a_.cols, 1.0);
+      recompute_duals();  // same basis, new objective
     }
 
     const SolveStatus status = iterate();
@@ -170,8 +260,8 @@ class SparseSolver : private SolverBase {
       }
     }
     if (basis_.size() != m_) return false;
-    if (!refactorize()) return false;
     gamma_.assign(n_total, 1.0);
+    if (!refactorize()) return false;
     return !needs_phase1();
   }
 
@@ -197,7 +287,8 @@ class SparseSolver : private SolverBase {
     scratch_.clear();
   }
 
-  /// Exact reduced costs d_j = c_j - y^T a_j with y = B^-T c_B.
+  /// Exact reduced costs d_j = c_j - y^T a_j with y = B^-T c_B, and every
+  /// pricing score from them.
   void recompute_duals() {
     scratch_.clear();
     for (std::size_t i = 0; i < m_; ++i) {
@@ -216,6 +307,29 @@ class SparseSolver : private SolverBase {
     }
     scratch_.clear();
     duals_fresh_ = true;
+    rescore_all();
+  }
+
+  /// Devex score of column j: d_j² / γ_j when j may enter (nonbasic, not
+  /// fixed, reduced cost past the tolerance in its improving direction),
+  /// else kIneligible.  Every write to d_, gamma_, vstat_ or a bound must be
+  /// followed by a rescore of the columns it touched, so pricing can read
+  /// cached scores instead of re-deriving all n per iteration.
+  void rescore(std::size_t j) {
+    double score = kIneligible;
+    if (vstat_[j] != VarStatus::kBasic && lower_[j] != upper_[j]) {
+      const double d = d_[j];
+      if ((vstat_[j] == VarStatus::kAtLower && d < -options_.optimality_tol) ||
+          (vstat_[j] == VarStatus::kAtUpper && d > options_.optimality_tol)) {
+        score = d * d / gamma_[j];
+      }
+    }
+    scores_.set(j, score);
+  }
+
+  void rescore_all() {
+    scores_.reset(a_.cols);
+    for (std::size_t j = 0; j < a_.cols; ++j) rescore(j);
   }
 
   void build_artificials_sparse() {
@@ -244,34 +358,9 @@ class SparseSolver : private SolverBase {
       }
       const bool bland = degenerate_run >= options_.degeneracy_limit;
 
-      // Devex pricing over the maintained reduced costs: maximise d² / γ.
-      std::ptrdiff_t enter = -1;
-      double best_score = 0.0;
-      int enter_dir = 0;
-      for (std::size_t j = 0; j < a_.cols; ++j) {
-        if (vstat_[j] == VarStatus::kBasic) continue;
-        if (lower_[j] == upper_[j]) continue;  // fixed variable
-        const double d = d_[j];
-        int dir = 0;
-        if (vstat_[j] == VarStatus::kAtLower && d < -options_.optimality_tol) {
-          dir = +1;
-        } else if (vstat_[j] == VarStatus::kAtUpper && d > options_.optimality_tol) {
-          dir = -1;
-        } else {
-          continue;
-        }
-        if (bland) {  // first eligible index
-          enter = static_cast<std::ptrdiff_t>(j);
-          enter_dir = dir;
-          break;
-        }
-        const double score = d * d / gamma_[j];
-        if (score > best_score) {
-          best_score = score;
-          enter = static_cast<std::ptrdiff_t>(j);
-          enter_dir = dir;
-        }
-      }
+      // Devex pricing over the cached scores: the first index of the largest
+      // d² / γ, or under Bland's rule the first eligible index.
+      const std::ptrdiff_t enter = bland ? scores_.first_eligible() : scores_.best();
       if (enter < 0) {
         // Incremental reduced costs may only declare optimality after an
         // exact reprice at the current basis.
@@ -282,7 +371,7 @@ class SparseSolver : private SolverBase {
         return SolveStatus::kOptimal;
       }
       const auto j_enter = static_cast<std::size_t>(enter);
-      const double sigma = enter_dir;
+      const double sigma = vstat_[j_enter] == VarStatus::kAtLower ? 1.0 : -1.0;
 
       // FTRAN: w = B^-1 A_j, sparse in and out.
       w_.clear();
@@ -355,6 +444,7 @@ class SparseSolver : private SolverBase {
         vstat_[j_enter] = vstat_[j_enter] == VarStatus::kAtLower
                               ? VarStatus::kAtUpper
                               : VarStatus::kAtLower;
+        rescore(j_enter);
         ++iterations_;
         continue;
       }
@@ -429,13 +519,19 @@ class SparseSolver : private SolverBase {
         const double cand = gamma_q * (av * av) / wr2;
         if (cand > gamma_[c]) gamma_[c] = cand;
         if (gamma_[c] > gamma_max) gamma_max = gamma_[c];
+        rescore(c);
       }
       alpha_touched_.clear();
       d_[b_leave] = -ratio_d;
       gamma_[b_leave] = std::max(gamma_q / wr2, 1.0);
       d_[j_enter] = 0.0;
       gamma_[j_enter] = 1.0;
-      if (gamma_max > 1e10) gamma_.assign(a_.cols, 1.0);  // reset reference
+      rescore(b_leave);
+      rescore(j_enter);
+      if (gamma_max > 1e10) {  // reset the reference framework
+        gamma_.assign(a_.cols, 1.0);
+        rescore_all();
+      }
       duals_fresh_ = false;
       ++iterations_;
     }
@@ -467,6 +563,7 @@ class SparseSolver : private SolverBase {
   std::vector<double> ar_val_;
   std::vector<double> d_;      // reduced costs (0 for basics)
   std::vector<double> gamma_;  // Devex reference weights
+  PricingScores scores_;
   std::vector<double> alpha_;  // pivot-row scatter scratch
   std::vector<std::int32_t> alpha_touched_;
   IndexedVector w_, rho_, scratch_;

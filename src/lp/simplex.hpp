@@ -5,15 +5,20 @@
 /// its upper-bound computation (§7).  Constraints are stored in CSC/CSR form;
 /// the basis is held as a Markowitz-pivot LU factorisation (sparse_lu.hpp)
 /// with product-form eta updates, refactorised every `refactor_interval`
-/// pivots or when the FTRAN/BTRAN pivot cross-check drifts.  Sparse
-/// FTRAN/BTRAN exploit rhs sparsity, and Devex pricing runs over
-/// incrementally maintained reduced costs (recomputed exactly at every
-/// refactorisation; optimality is only declared from exact ones).
-/// Per-iteration work scales with the factor and column nonzeros instead of
-/// m², which is what lets the upper-bound LP run at fleet scale (hundreds of
-/// machines, thousands of strings).  A dense explicit-inverse engine over the
-/// same computational form (lp/solver_base.hpp) lives in the tests as the
-/// cross-check oracle (tests/lp/sparse_dense_property_test.cpp).
+/// pivots or when the FTRAN/BTRAN pivot cross-check drifts.  FTRAN/BTRAN
+/// visit only the elimination steps a sparse rhs can reach, in heap order.
+/// Devex pricing runs over incrementally maintained reduced costs
+/// (recomputed exactly at every refactorisation; optimality is only
+/// declared from exact ones) and a cache of d²/γ scores: a pivot rescores
+/// only the columns it changed (the pivot row's nonzeros, the leaving and
+/// entering columns), and the choice reads per-block score maxima instead
+/// of all n columns.  Per-iteration work scales with the nonzeros a pivot
+/// touches instead of m or n, which is what lets the upper-bound LP run at
+/// paper scale (≈17k rows) and at fleet scale (hundreds of machines,
+/// thousands of strings).  A dense explicit-inverse engine over the same
+/// computational form (lp/solver_base.hpp) lives in the tests as the
+/// cross-check oracle (tests/lp/sparse_dense_property_test.cpp), and
+/// tests/lp/pivot_path_test.cpp pins the pivot path bit for bit.
 ///
 /// Computational form: every row r becomes a_r^T x + s_r = rhs_r with a
 /// slack bounded by the row relation ([0,inf) for <=, (-inf,0] for >=, [0,0]

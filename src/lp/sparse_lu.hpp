@@ -6,7 +6,8 @@
 /// (r-1)(c-1) cost for sparsity).  Simplex bases are singleton-dominated —
 /// most columns are slacks or near-slack structural columns — so the
 /// elimination clears singleton rows/columns first with zero fill and only
-/// runs the Markowitz search on the small remaining kernel.
+/// runs the Markowitz search on the small remaining kernel, scanning an
+/// index-ordered list of the columns still active rather than all m.
 ///
 /// Between refactorisations, basis changes are absorbed as product-form eta
 /// matrices: pivoting column q into basis position r appends the spike
@@ -17,8 +18,27 @@
 ///
 /// Index spaces: FTRAN input vectors are indexed by constraint row, output by
 /// basis position (the column order given to factorize()); BTRAN is the
-/// transpose, position in / row out.  All solves exploit right-hand-side
-/// sparsity by skipping zero entries of the permuted elimination sequence.
+/// transpose, position in / row out.
+///
+/// Hyper-sparse solves: a unit or few-nonzero rhs reaches only a small part
+/// of the factor, so no LU pass sweeps all m elimination steps.  Each pass
+/// keeps a binary heap of the steps that can still be nonzero and visits
+/// them in the same ascending (L, U^T) or descending (U, L^T) step order a
+/// full sweep would.  The scatter passes (L, U^T) push the step of every
+/// index they newly fill; the dot-product passes (U, L^T) learn which steps
+/// need a value from transposed patterns of U and L built by factorize().
+/// The arithmetic of every visited step is unchanged — the same entries are
+/// combined in the same order — so the results are bit-identical to a full
+/// sweep.  A pass that needs more than kHyperSparseDensity·m steps (a dense
+/// rhs, or heavy fill) finishes as a plain sweep over the remaining steps.
+/// The eta passes need no queue: FTRAN skips every eta whose pivot entry is
+/// zero, and BTRAN's transposed pass reads each eta once (the file holds at
+/// most `refactor_interval` spikes).
+///
+/// Storage reuse: the active-submatrix lists of the elimination and all
+/// solve scratch are members sized by factorize(), so a refactorisation of
+/// a same-sized basis reuses the previous one's buffers, and ftran/btran
+/// never allocate.
 ///
 /// Determinism: pivot selection breaks ties on (Markowitz cost, column,
 /// row), all iteration orders are index-based, and no randomisation is used,
@@ -28,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "lp/problem.hpp"
@@ -110,17 +131,84 @@ class BasisLu {
     double pivot_value;
   };
 
+  /// Visits the elimination steps of one solve pass in step order without
+  /// sweeping all m: pending steps sit in a binary min-heap keyed by their
+  /// rank in the pass's order, deduplicated by a per-step epoch stamp.  Once
+  /// a pass has pushed more than its dense limit, it falls back to sweeping
+  /// every step after the last one visited, which is exact because every
+  /// pending step comes later in the order.  Capacity is reserved by
+  /// factorize(), so push() never allocates.
+  class StepQueue {
+   public:
+    void reset(std::size_t m);
+    void start(bool ascending);
+    void push(std::int32_t step);
+    [[nodiscard]] bool pop(std::size_t& step);
+    /// False once the pass sweeps: pushes are no-ops, so callers may skip
+    /// the pattern walks that feed them.
+    [[nodiscard]] bool sparse() const noexcept { return !sweep_; }
+
+   private:
+    /// Maps a step to its heap key and back (an involution): the key is the
+    /// step's rank in the pass's visiting order.
+    [[nodiscard]] std::size_t flip(std::size_t i) const noexcept {
+      return ascending_ ? i : m_ - 1 - i;
+    }
+
+    std::size_t m_ = 0;
+    std::size_t dense_limit_ = 0;
+    std::vector<std::int32_t> heap_;  ///< keys, min-heap
+    std::vector<std::uint32_t> stamp_;  ///< step -> epoch it was pushed in
+    std::uint32_t epoch_ = 0;
+    std::size_t pushed_ = 0;
+    std::size_t next_key_ = 0;  ///< first key not yet visited
+    bool ascending_ = true;
+    bool sweep_ = false;
+  };
+
+  /// Builds the transposed pattern of a step-ordered factor (\p entries in
+  /// \p start ranges): for each index, the steps whose range holds it.
+  void transpose_pattern(const std::vector<Entry>& entries,
+                         const std::vector<std::size_t>& start,
+                         std::vector<std::size_t>& t_start,
+                         std::vector<std::int32_t>& t_step);
+
+  struct ActiveEntry {
+    std::int32_t row;  ///< -1 marks a cancelled (tombstoned) entry
+    double value;
+  };
+
   std::size_t m_ = 0;
   // Elimination-ordered factors: step k pivoted (prow_[k], pcol_[k]) with
   // diagonal u_diag_[k]; l_ holds the subdiagonal multipliers by original
   // row, u_ the superdiagonal entries by basis position.
   std::vector<std::int32_t> prow_, pcol_;
   std::vector<std::int32_t> step_of_row_;  ///< inverse of prow_
+  std::vector<std::int32_t> step_of_pos_;  ///< inverse of pcol_
   std::vector<double> u_diag_;
   std::vector<Entry> l_entries_, u_entries_;
   std::vector<std::size_t> l_start_, u_start_;  ///< size m+1
+  // Transposed patterns for the dot-product passes: ut_step_ lists, per
+  // basis position c, the steps whose U row holds c; lt_step_, per row r,
+  // the steps whose L column holds r.
+  std::vector<std::size_t> ut_start_, lt_start_;  ///< size m+1
+  std::vector<std::int32_t> ut_step_, lt_step_;
   std::vector<Eta> eta_;
   std::vector<Entry> eta_entries_;
+
+  // Active submatrix of the elimination (factorize() only): column-major
+  // entry lists, a row -> column-position pattern, counts, flags, singleton
+  // queues and the index-ordered list of active columns the Markowitz
+  // search scans.  Kept between calls for buffer reuse.
+  std::vector<std::vector<ActiveEntry>> col_;
+  std::vector<std::vector<std::int32_t>> row_cols_;
+  std::vector<std::int32_t> col_count_, row_count_;
+  std::vector<std::uint8_t> row_active_, col_active_, gathered_;
+  std::vector<std::int32_t> col_single_, row_single_, active_cols_;
+  std::vector<std::pair<std::int32_t, double>> pivot_row_;  ///< (col position, value)
+  std::vector<std::pair<std::int32_t, double>> pivot_col_;  ///< (row, value)
+  std::vector<std::size_t> fill_;  ///< transposed-pattern assembly cursor
+
   // Solve scratch (sized once in factorize, so ftran/btran never allocate):
   // work_ is step-indexed and kept all-zero between calls via touched_;
   // mark_ dedupes pattern insertion.  Mutable scratch makes the const solves
@@ -128,6 +216,7 @@ class BasisLu {
   mutable std::vector<double> work_;
   mutable std::vector<std::int32_t> touched_;
   mutable std::vector<std::uint8_t> mark_;
+  mutable StepQueue queue_;
 };
 
 }  // namespace tsce::lp
