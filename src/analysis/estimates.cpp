@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "analysis/priority.hpp"
 #include "analysis/tightness.hpp"
-#include "util/hot.hpp"
 
 namespace tsce::analysis {
 
@@ -24,10 +24,13 @@ double TimeEstimates::latency(StringId k) const noexcept {
   return total;
 }
 
-TSCE_HOT double estimate_comp_time(const SystemModel& model, const Allocation& alloc,
-                                   const UtilizationState& util,
-                                   std::span<const double> t_of, StringId k,
-                                   AppIndex i) noexcept {
+namespace {
+
+/// Estimated computation time of one deployed app (k,i), given the resident
+/// sets in \p util and per-string priority values \p t_of.
+double estimate_comp_time(const SystemModel& model, const Allocation& alloc,
+                          const UtilizationState& util, std::span<const double> t_of,
+                          StringId k, AppIndex i) noexcept {
   const auto& s = model.strings[static_cast<std::size_t>(k)];
   const MachineId j = alloc.machine_of(k, i);
   const auto ju = static_cast<std::size_t>(j);
@@ -47,10 +50,10 @@ TSCE_HOT double estimate_comp_time(const SystemModel& model, const Allocation& a
   return t;
 }
 
-TSCE_HOT double estimate_tran_time(const SystemModel& model, const Allocation& alloc,
-                                   const UtilizationState& util,
-                                   std::span<const double> t_of, StringId k,
-                                   AppIndex i) noexcept {
+/// Estimated transfer time of the output of deployed app (k,i), i < n_k - 1.
+double estimate_tran_time(const SystemModel& model, const Allocation& alloc,
+                          const UtilizationState& util, std::span<const double> t_of,
+                          StringId k, AppIndex i) noexcept {
   const auto& s = model.strings[static_cast<std::size_t>(k)];
   const MachineId j1 = alloc.machine_of(k, i);
   const MachineId j2 = alloc.machine_of(k, i + 1);
@@ -68,6 +71,8 @@ TSCE_HOT double estimate_tran_time(const SystemModel& model, const Allocation& a
   }
   return t;
 }
+
+}  // namespace
 
 TimeEstimates estimate_all(const SystemModel& model, const Allocation& alloc,
                            PriorityRule rule) {

@@ -8,7 +8,6 @@
 
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "analysis/priority.hpp"
@@ -34,23 +33,10 @@ struct TimeEstimates {
   [[nodiscard]] double latency(model::StringId k) const noexcept;
 };
 
-/// Estimated computation time of one deployed app (k,i), given the resident
-/// sets in \p util and per-string tightness values \p t_of.
-[[nodiscard]] double estimate_comp_time(const model::SystemModel& model,
-                                        const model::Allocation& alloc,
-                                        const UtilizationState& util,
-                                        std::span<const double> t_of,
-                                        model::StringId k, model::AppIndex i) noexcept;
-
-/// Estimated transfer time of the output of deployed app (k,i), i < n_k - 1.
-[[nodiscard]] double estimate_tran_time(const model::SystemModel& model,
-                                        const model::Allocation& alloc,
-                                        const UtilizationState& util,
-                                        std::span<const double> t_of,
-                                        model::StringId k, model::AppIndex i) noexcept;
-
 /// Computes estimates for every deployed string of \p alloc from scratch,
 /// prioritizing by \p rule (the paper's relative tightness by default).
+/// This is the reference evaluator: AllocationSession maintains the same
+/// values incrementally with its own fused kernels.
 [[nodiscard]] TimeEstimates estimate_all(
     const model::SystemModel& model, const model::Allocation& alloc,
     PriorityRule rule = PriorityRule::kRelativeTightness);

@@ -14,11 +14,18 @@
 /// an arena offset, snapshot()/restore() are single memcpys of the used
 /// prefix and are bit-exact; remove_string/remove_strings keep the original
 /// re-summation semantics for callers that rewind without a snapshot.
+///
+/// Every per-app and per-string factor the hot loops multiply by (t*u, the
+/// utilization deltas, output megabits, periods, IMR intensities) is read
+/// from CoefficientTables: flat arrays built once per UtilizationState from
+/// the model's own formulas, immutable, shared by copies, and kept outside
+/// the arena so snapshots stay the size of the mutable state alone.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,6 +41,42 @@ struct AppRef {
   model::StringId k;
   model::AppIndex i;
   friend bool operator==(const AppRef&, const AppRef&) = default;
+};
+
+/// Computational intensity t_av[i] * u_av[i] / P[k] of app i of string k,
+/// eqs. (8)-(9): the IMR visits applications in decreasing order of it.
+[[nodiscard]] double computational_intensity(const model::SystemModel& model,
+                                             model::StringId k,
+                                             model::AppIndex i) noexcept;
+
+/// Immutable per-model coefficient tables in flat SoA form.  App rows are
+/// numbered by prefix sums over string lengths, app(k, i) = app_off[k] + i;
+/// per-(app, machine) entries sit at app(k, i) * machines + j, so one app's
+/// machine row is contiguous.  Transfer rows use tran_off the same way (the
+/// session's eq. (6) slots).  Each value is computed once, by the same
+/// expression the model-level helpers use, so reading it is bit-identical to
+/// recomputing it.
+struct CoefficientTables {
+  explicit CoefficientTables(const model::SystemModel& model);
+
+  std::size_t machines = 0;
+  std::vector<std::uint32_t> app_off;   ///< prefix sums of string lengths, size Q+1
+  std::vector<std::uint32_t> tran_off;  ///< prefix sums of (length - 1), size Q+1
+  std::vector<double> period;           ///< P[k], per string
+  std::vector<double> max_latency;      ///< Lmax[k], per string
+  std::vector<double> time;             ///< t[i,j], per app and machine
+  std::vector<double> work;             ///< t[i,j] * u[i,j], per app and machine
+  std::vector<double> machine_delta;    ///< t[i,j] * u[i,j] / P[k], per app and machine
+  std::vector<double> mbits;            ///< O[i] in megabits, per app
+  std::vector<double> mbits_per_period; ///< O[i] / P[k] in megabits, per app
+  std::vector<double> intensity;        ///< computational_intensity, per app
+
+  [[nodiscard]] std::size_t app(model::StringId k, model::AppIndex i) const noexcept {
+    return app_off[static_cast<std::size_t>(k)] + static_cast<std::size_t>(i);
+  }
+  [[nodiscard]] std::size_t app_machine(std::size_t app, model::MachineId j) const noexcept {
+    return app * machines + static_cast<std::size_t>(j);
+  }
 };
 
 class UtilizationState {
@@ -123,6 +166,9 @@ class UtilizationState {
 
   [[nodiscard]] std::size_t num_machines() const noexcept { return machine_util_.count; }
 
+  /// The model's coefficient tables (shared with every copy of this state).
+  [[nodiscard]] const CoefficientTables& coefficients() const noexcept { return *coef_; }
+
   /// Snapshot protocol: the state is one arena block, so a snapshot is one
   /// memcpy of the used prefix and restore is the inverse memcpy — bit-exact,
   /// O(bytes), no per-string work.  A snapshot may be restored into any
@@ -165,6 +211,7 @@ class UtilizationState {
   }
 
   const model::SystemModel* model_ = nullptr;
+  std::shared_ptr<const CoefficientTables> coef_;
   util::Arena arena_;
   // Fixed header views (offsets never change after construction; the slab
   // pool grows past them at the tip).

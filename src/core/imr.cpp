@@ -14,13 +14,6 @@ using model::MachineId;
 using model::StringId;
 using model::SystemModel;
 
-double computational_intensity(const SystemModel& model, StringId k,
-                               AppIndex i) noexcept {
-  const auto& s = model.strings[static_cast<std::size_t>(k)];
-  const auto& a = s.apps[static_cast<std::size_t>(i)];
-  return a.avg_time_s() * a.avg_util() / s.period_s;
-}
-
 namespace {
 
 /// Local view of resource usage: committed state plus the in-progress
@@ -32,16 +25,20 @@ class ScratchUtil {
               ImrScratch& scratch)
       : model_(model),
         util_(util),
-        k_(k),
+        machines_(model.num_machines()),
+        machine_delta_(util.coefficients().machine_delta.data() +
+                       util.coefficients().app(k, 0) * model.num_machines()),
+        mbits_per_period_(util.coefficients().mbits_per_period.data() +
+                          util.coefficients().app(k, 0)),
         machine_extra_(scratch.machine_extra),
         route_extra_(scratch.route_extra) {
-    machine_extra_.assign(model.num_machines(), 0.0);
-    route_extra_.assign(model.num_machines() * model.num_machines(), 0.0);
+    machine_extra_.assign(machines_, 0.0);
+    route_extra_.assign(machines_ * machines_, 0.0);
   }
 
   [[nodiscard]] double machine_util_if(MachineId j, AppIndex i) const noexcept {
     return util_.machine_util(j) + machine_extra_[static_cast<std::size_t>(j)] +
-           util_.machine_delta(k_, i, j);
+           machine_delta(i, j);
   }
 
   /// Route j1->j2 utilization if the output of app \p sender were added.
@@ -49,27 +46,39 @@ class ScratchUtil {
                                      AppIndex sender) const noexcept {
     if (j1 == j2) return 0.0;
     return util_.route_util(j1, j2) + route_extra_[route_index(j1, j2)] +
-           util_.route_delta(k_, sender, j1, j2);
+           route_delta(sender, j1, j2);
   }
 
   void commit_app(AppIndex i, MachineId j) noexcept {
-    machine_extra_[static_cast<std::size_t>(j)] += util_.machine_delta(k_, i, j);
+    machine_extra_[static_cast<std::size_t>(j)] += machine_delta(i, j);
   }
 
   void commit_transfer(AppIndex sender, MachineId j1, MachineId j2) noexcept {
     if (j1 == j2) return;
-    route_extra_[route_index(j1, j2)] += util_.route_delta(k_, sender, j1, j2);
+    route_extra_[route_index(j1, j2)] += route_delta(sender, j1, j2);
   }
 
  private:
   [[nodiscard]] std::size_t route_index(MachineId j1, MachineId j2) const noexcept {
-    return static_cast<std::size_t>(j1) * model_.num_machines() +
-           static_cast<std::size_t>(j2);
+    return static_cast<std::size_t>(j1) * machines_ + static_cast<std::size_t>(j2);
+  }
+  /// UtilizationState::machine_delta / route_delta of string k, read from
+  /// k's rows of the coefficient tables.
+  [[nodiscard]] double machine_delta(AppIndex i, MachineId j) const noexcept {
+    return machine_delta_[static_cast<std::size_t>(i) * machines_ +
+                          static_cast<std::size_t>(j)];
+  }
+  [[nodiscard]] double route_delta(AppIndex sender, MachineId j1,
+                                   MachineId j2) const noexcept {
+    return mbits_per_period_[static_cast<std::size_t>(sender)] /
+           model_.network.bandwidth_mbps(j1, j2);
   }
 
   const SystemModel& model_;
   const UtilizationState& util_;
-  StringId k_;
+  std::size_t machines_;
+  const double* machine_delta_;     ///< k's (app, machine) rows
+  const double* mbits_per_period_;  ///< k's app rows
   std::vector<double>& machine_extra_;
   std::vector<double>& route_extra_;
 };
@@ -90,12 +99,14 @@ TSCE_HOT void imr_map_string_into(const SystemModel& model, const UtilizationSta
   ScratchUtil scratch(model, util, k, buffers);
 
   // Step 1: the most computationally intensive application seeds the mapping.
+  const double* const intensity =
+      util.coefficients().intensity.data() + util.coefficients().app(k, 0);
   auto most_intensive_unassigned = [&]() {
     AppIndex best = model::kInvalidId;
     double best_val = -std::numeric_limits<double>::infinity();
     for (AppIndex i = 0; i < n; ++i) {
       if (in_d[static_cast<std::size_t>(i)]) continue;
-      const double v = computational_intensity(model, k, i);
+      const double v = intensity[static_cast<std::size_t>(i)];
       if (v > best_val) {
         best_val = v;
         best = i;

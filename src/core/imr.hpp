@@ -22,11 +22,9 @@
 
 namespace tsce::core {
 
-/// Computational intensity used for application ordering inside the IMR:
-/// t_av[i] * u_av[i] / P[k].
-[[nodiscard]] double computational_intensity(const model::SystemModel& model,
-                                             model::StringId k,
-                                             model::AppIndex i) noexcept;
+/// Computational intensity used for application ordering inside the IMR,
+/// t_av[i] * u_av[i] / P[k]; the IMR reads it from the coefficient tables.
+using analysis::computational_intensity;
 
 /// Reusable working buffers for the IMR.  Hot search loops map a string per
 /// candidate evaluation; keeping the buffers alive across calls makes the
