@@ -253,6 +253,7 @@ void BM_SimplexUpperBound(benchmark::State& state) {
     last = lp::upper_bound_worth(m);
     benchmark::DoNotOptimize(last);
   }
+  state.SetLabel(lp::to_string(last.status));
   state.counters["rows"] = static_cast<double>(last.lp_rows);
   state.counters["cols"] = static_cast<double>(last.lp_cols);
   state.counters["iters"] = static_cast<double>(last.iterations);

@@ -1,6 +1,9 @@
 #include "core/ordered.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include "analysis/tightness.hpp"
 #include "core/decode.hpp"
@@ -33,21 +36,38 @@ std::vector<StringId> tf_order(const SystemModel& model) {
   return order;
 }
 
+std::vector<StringId> fraction_order(const SystemModel& model,
+                                     const std::vector<double>& fractions) {
+  // Fractions are compared on a 1e-9 grid: LP rounding noise (an f_k summed
+  // from M^2 arcs can come out as 1 - 1e-16) must not decide the order, and
+  // unlike a pairwise tolerance compare the grid keys are a strict weak
+  // ordering, as std::stable_sort requires.
+  constexpr double kFractionTieTol = 1e-9;
+  if (fractions.size() != model.num_strings()) {
+    throw std::invalid_argument("fraction_order: one fraction per string expected");
+  }
+  std::vector<std::int64_t> key(fractions.size());
+  for (std::size_t k = 0; k < fractions.size(); ++k) {
+    key[k] = std::llround(fractions[k] / kFractionTieTol);
+  }
+  std::vector<StringId> order = identity_order(model);
+  std::stable_sort(order.begin(), order.end(), [&](StringId a, StringId b) {
+    const std::int64_t ka = key[static_cast<std::size_t>(a)];
+    const std::int64_t kb = key[static_cast<std::size_t>(b)];
+    if (ka != kb) return ka > kb;
+    return model.strings[static_cast<std::size_t>(a)].worth_factor() >
+           model.strings[static_cast<std::size_t>(b)].worth_factor();
+  });
+  return order;
+}
+
 std::vector<StringId> lp_guided_order(const SystemModel& model) {
   const lp::UpperBoundResult ub = lp::upper_bound_worth(model);
   if (ub.status != lp::SolveStatus::kOptimal ||
       ub.string_fractions.size() != model.num_strings()) {
     return mwf_order(model);
   }
-  std::vector<StringId> order = identity_order(model);
-  std::stable_sort(order.begin(), order.end(), [&](StringId a, StringId b) {
-    const double fa = ub.string_fractions[static_cast<std::size_t>(a)];
-    const double fb = ub.string_fractions[static_cast<std::size_t>(b)];
-    if (fa != fb) return fa > fb;
-    return model.strings[static_cast<std::size_t>(a)].worth_factor() >
-           model.strings[static_cast<std::size_t>(b)].worth_factor();
-  });
-  return order;
+  return fraction_order(model, ub.string_fractions);
 }
 
 namespace {

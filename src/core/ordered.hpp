@@ -18,11 +18,18 @@ namespace tsce::core {
 /// allocation-dependent terms replaced by averages); ties by ascending id.
 [[nodiscard]] std::vector<model::StringId> tf_order(const model::SystemModel& model);
 
+/// Strings ranked by descending \p fractions (one per string), each rounded
+/// to a multiple of 1e-9 so that LP rounding noise ties; ties by descending
+/// worth then ascending id.  Throws std::invalid_argument unless there is
+/// exactly one fraction per string.
+[[nodiscard]] std::vector<model::StringId> fraction_order(
+    const model::SystemModel& model, const std::vector<double>& fractions);
+
 /// Strings ranked by the fractional-mapping LP relaxation (upper_bound.hpp):
-/// descending deployed fraction f_k, ties by descending worth then ascending
-/// id.  Strings the LP deploys fully are exactly the ones an optimal integral
-/// allocation is most likely to keep, so decoding them first gives the
-/// sequential IMR decoder a head start.  Falls back to mwf_order when the LP
+/// fraction_order of the deployed fractions f_k.  Strings the LP deploys
+/// fully are exactly the ones an optimal integral allocation is most likely
+/// to keep, so decoding them first gives the sequential IMR decoder a head
+/// start.  Falls back to mwf_order when the LP
 /// does not reach optimality (iteration limit on adversarial instances).
 [[nodiscard]] std::vector<model::StringId> lp_guided_order(
     const model::SystemModel& model);

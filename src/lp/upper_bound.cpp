@@ -8,37 +8,47 @@ using model::SystemModel;
 
 namespace {
 
-/// Variable index bookkeeping for the fractional-mapping LP.
-class UbIndexer {
+[[nodiscard]] std::size_t edges_of(const model::AppString& s) noexcept {
+  return s.size() > 0 ? s.size() - 1 : 0;
+}
+
+/// Column bookkeeping for the arc-flow LP.  A string with at least one edge
+/// owns its arc variables y[i,k,j1,j2] (edge, source, destination machine);
+/// a single-app string owns its M placement columns x[k,j].  Either way the
+/// columns whose sum is the deployed fraction f_k (edge 0's arcs, or the
+/// placements) are the string's first fraction_width(k) columns.
+class ArcIndexer {
  public:
-  explicit UbIndexer(const SystemModel& model) : m_(model.num_machines()) {
-    x_base_.reserve(model.num_strings());
-    y_base_.reserve(model.num_strings());
+  explicit ArcIndexer(const SystemModel& model) : m_(model.num_machines()) {
+    base_.reserve(model.num_strings() + 1);
+    width_.reserve(model.num_strings());
     std::int32_t next = 0;
     for (const auto& s : model.strings) {
-      x_base_.push_back(next);
-      next += static_cast<std::int32_t>(s.size() * m_);
-      y_base_.push_back(next);
-      const std::size_t edges = s.size() > 0 ? s.size() - 1 : 0;
-      next += static_cast<std::int32_t>(edges * m_ * m_);
+      base_.push_back(next);
+      width_.push_back(static_cast<std::int32_t>(
+          s.size() == 0 ? 0 : (s.size() == 1 ? m_ : m_ * m_)));
+      next += static_cast<std::int32_t>(s.size() == 1 ? m_ : edges_of(s) * m_ * m_);
     }
-    total_ = next;
+    base_.push_back(next);
   }
 
-  [[nodiscard]] std::int32_t x(std::size_t k, std::size_t i, std::size_t j) const noexcept {
-    return x_base_[k] + static_cast<std::int32_t>(i * m_ + j);
+  [[nodiscard]] std::int32_t x(std::size_t k, std::size_t j) const noexcept {
+    return base_[k] + static_cast<std::int32_t>(j);
   }
   [[nodiscard]] std::int32_t y(std::size_t k, std::size_t i, std::size_t j1,
                                std::size_t j2) const noexcept {
-    return y_base_[k] + static_cast<std::int32_t>(i * m_ * m_ + j1 * m_ + j2);
+    return base_[k] + static_cast<std::int32_t>(i * m_ * m_ + j1 * m_ + j2);
   }
-  [[nodiscard]] std::int32_t count() const noexcept { return total_; }
+  [[nodiscard]] std::int32_t first(std::size_t k) const noexcept { return base_[k]; }
+  [[nodiscard]] std::int32_t fraction_width(std::size_t k) const noexcept {
+    return width_[k];
+  }
+  [[nodiscard]] std::int32_t count() const noexcept { return base_.back(); }
 
  private:
   std::size_t m_;
-  std::vector<std::int32_t> x_base_;
-  std::vector<std::int32_t> y_base_;
-  std::int32_t total_ = 0;
+  std::vector<std::int32_t> base_;   ///< first column per string, then the total
+  std::vector<std::int32_t> width_;  ///< columns summing to f_k per string
 };
 
 }  // namespace
@@ -55,112 +65,99 @@ void build_upper_bound_lp_into(LpProblem& problem, const SystemModel& model,
                                bool complete, UbObjective objective) {
   const std::size_t m = model.num_machines();
   const std::size_t q = model.num_strings();
-  const UbIndexer idx(model);
+  const ArcIndexer idx(model);
 
   problem.clear(Sense::kMaximize);
   std::int32_t lambda = -1;  // slackness variable, complete mode only
 
-  // Variables: all fractions in [0,1], with the objective coefficients
-  // attached at creation.  Layout must match UbIndexer (asserted below).
+  // Variables, with the objective coefficients attached at creation.  Worth
+  // accrues on f_k: edge 0's arcs, or a single-app string's placements.
+  // The paper-literal objective sums I[k] * x[i,k,j] over apps and machines,
+  // which is I[k] * |S^k| * f_k.  Arcs need no upper bound: (a) caps the
+  // total flow of every edge at 1.  Layout must match ArcIndexer.
   for (std::size_t k = 0; k < q; ++k) {
     const auto& s = model.strings[k];
-    const double worth = s.worth_factor();
-    for (std::size_t i = 0; i < s.size(); ++i) {
+    double worth = complete ? 0.0 : static_cast<double>(s.worth_factor());
+    if (objective == UbObjective::kPaperLiteral) worth *= static_cast<double>(s.size());
+    if (s.size() == 1) {
       for (std::size_t j = 0; j < m; ++j) {
-        double cost = 0.0;
-        if (!complete) {
-          if (objective == UbObjective::kPaperLiteral) {
-            cost = worth;
-          } else if (i == 0) {
-            // f_k = sum_j x[0,k,j]; worth accrues once per string.
-            cost = worth;
-          }
-        }
-        const std::int32_t v = problem.add_variable(0.0, 1.0, cost);
-        assert(v == idx.x(k, i, j));
+        const std::int32_t v = problem.add_variable(0.0, 1.0, worth);
+        assert(v == idx.x(k, j));
         (void)v;
       }
+      continue;
     }
-    const std::size_t edges = s.size() > 0 ? s.size() - 1 : 0;
-    for (std::size_t i = 0; i < edges; ++i) {
+    for (std::size_t i = 0; i < edges_of(s); ++i) {
       for (std::size_t j1 = 0; j1 < m; ++j1) {
         for (std::size_t j2 = 0; j2 < m; ++j2) {
-          const std::int32_t v = problem.add_variable(0.0, 1.0, 0.0);
+          const std::int32_t v = problem.add_variable(0.0, kInf, i == 0 ? worth : 0.0);
           assert(v == idx.y(k, i, j1, j2));
           (void)v;
         }
       }
     }
   }
+  assert(problem.num_variables() == static_cast<std::size_t>(idx.count()));
   if (complete) {
     lambda = problem.add_variable(0.0, 1.0, 1.0);  // maximize slackness
   }
 
-  // (a) deployment fraction of each string, via its first application.
+  // (a) deployment fraction of each string.
   for (std::size_t k = 0; k < q; ++k) {
     const std::int32_t row =
         problem.add_row(complete ? Relation::kEqual : Relation::kLessEqual, 1.0);
-    for (std::size_t j = 0; j < m; ++j) {
-      problem.add_coefficient(row, idx.x(k, 0, j), 1.0);
+    for (std::int32_t c = 0; c < idx.fraction_width(k); ++c) {
+      problem.add_coefficient(row, idx.first(k) + c, 1.0);
     }
   }
 
-  // (b) equal fractions along each string.
+  // Flow conservation at every internal application: the fraction that edge
+  // i-1 delivers to machine j is the fraction that edge i sends from it,
+  //     sum_{j1} y[i-1,k,j1,j] = sum_{j2} y[i,k,j,j2].
+  // Together with (a) this is the paper's (b), (d) and (e) with x projected
+  // out: x[i,k,j] is edge i's out-flow from j, or edge i-1's in-flow to j.
   for (std::size_t k = 0; k < q; ++k) {
     const auto& s = model.strings[k];
-    for (std::size_t i = 1; i < s.size(); ++i) {
-      const std::int32_t row = problem.add_row(Relation::kEqual, 0.0);
+    for (std::size_t i = 1; i < edges_of(s); ++i) {
       for (std::size_t j = 0; j < m; ++j) {
-        problem.add_coefficient(row, idx.x(k, i, j), 1.0);
-        problem.add_coefficient(row, idx.x(k, 0, j), -1.0);
-      }
-    }
-  }
-
-  // (d) an application fraction on j1 emits the same fraction of its output:
-  //     sum_{j2} y[i,k,j1,j2] = x[i,k,j1].
-  // (e) and its successor's fraction on j2 receives it:
-  //     sum_{j1} y[i,k,j1,j2] = x[i+1,k,j2].
-  for (std::size_t k = 0; k < q; ++k) {
-    const auto& s = model.strings[k];
-    const std::size_t edges = s.size() > 0 ? s.size() - 1 : 0;
-    for (std::size_t i = 0; i < edges; ++i) {
-      for (std::size_t j1 = 0; j1 < m; ++j1) {
-        const std::int32_t row = problem.add_row(Relation::kEqual, 0.0);
-        for (std::size_t j2 = 0; j2 < m; ++j2) {
-          problem.add_coefficient(row, idx.y(k, i, j1, j2), 1.0);
-        }
-        problem.add_coefficient(row, idx.x(k, i, j1), -1.0);
-      }
-      for (std::size_t j2 = 0; j2 < m; ++j2) {
         const std::int32_t row = problem.add_row(Relation::kEqual, 0.0);
         for (std::size_t j1 = 0; j1 < m; ++j1) {
-          problem.add_coefficient(row, idx.y(k, i, j1, j2), 1.0);
+          problem.add_coefficient(row, idx.y(k, i - 1, j1, j), 1.0);
         }
-        problem.add_coefficient(row, idx.x(k, i + 1, j2), -1.0);
+        for (std::size_t j2 = 0; j2 < m; ++j2) {
+          problem.add_coefficient(row, idx.y(k, i, j, j2), -1.0);
+        }
       }
     }
   }
 
   // (f) machine capacity: sum of per-app utilization contributions <= 1
-  //     (<= 1 - lambda in complete mode).
+  //     (<= 1 - lambda in complete mode).  App 0's fraction on j is edge 0's
+  //     out-flow from j; app i >= 1's is edge i-1's in-flow to j.
   for (std::size_t j = 0; j < m; ++j) {
     const std::int32_t row = problem.add_row(Relation::kLessEqual, 1.0);
     for (std::size_t k = 0; k < q; ++k) {
       const auto& s = model.strings[k];
+      if (s.size() == 1) {
+        problem.add_coefficient(row, idx.x(k, j), s.apps[0].cpu_work(j) / s.period_s);
+        continue;
+      }
       for (std::size_t i = 0; i < s.size(); ++i) {
         const double coeff = s.apps[i].cpu_work(j) / s.period_s;
-        problem.add_coefficient(row, idx.x(k, i, j), coeff);
+        for (std::size_t other = 0; other < m; ++other) {
+          problem.add_coefficient(
+              row, i == 0 ? idx.y(k, 0, j, other) : idx.y(k, i - 1, other, j), coeff);
+        }
       }
     }
     if (complete) problem.add_coefficient(row, lambda, 1.0);
   }
 
-  // (g) route capacity.  Without any inter-app edge there are no y variables
-  // and every route row would be empty (or carry only the redundant
-  // lambda <= 1, already enforced by lambda's bounds) — skip the whole
-  // M(M-1) block.  Fleet-scale single-app workloads (the TDM-client shape)
-  // are exactly this case.
+  // (g) route capacity.  Without any inter-app edge there are no arc
+  // variables and every route row would be empty (or carry only the
+  // redundant lambda <= 1, already enforced by lambda's bounds) — skip the
+  // whole M(M-1) block.  Fleet-scale single-app workloads (the TDM-client
+  // shape) are exactly this case.
   if (upper_bound_route_rows(model) > 0) {
     for (std::size_t j1 = 0; j1 < m; ++j1) {
       for (std::size_t j2 = 0; j2 < m; ++j2) {
@@ -170,8 +167,7 @@ void build_upper_bound_lp_into(LpProblem& problem, const SystemModel& model,
                                                       static_cast<model::MachineId>(j2));
         for (std::size_t k = 0; k < q; ++k) {
           const auto& s = model.strings[k];
-          const std::size_t edges = s.size() > 0 ? s.size() - 1 : 0;
-          for (std::size_t i = 0; i < edges; ++i) {
+          for (std::size_t i = 0; i < edges_of(s); ++i) {
             const double coeff =
                 model::kbytes_to_megabits(s.apps[i].output_kbytes) / s.period_s / w;
             problem.add_coefficient(row, idx.y(k, i, j1, j2), coeff);
@@ -203,7 +199,7 @@ UpperBoundResult extract_result(const LpProblem& problem,
   result.refactorisations = solution.refactorisations;
   if (solution.status != SolveStatus::kOptimal) return result;
 
-  // Rows were appended in the order (a), (b), (d)/(e), (f), (g): the machine
+  // Rows were appended in the order (a), flow conservation, (f), (g): the machine
   // capacity rows start right before the M + route_rows tail (route_rows is
   // zero when the (g) block was omitted — see build_upper_bound_lp).
   {
@@ -232,14 +228,13 @@ UpperBoundResult extract_result(const LpProblem& problem,
   } else {
     // Report total worth as sum I[k] * f_k regardless of the LP objective so
     // the number is comparable with the heuristics.
-    const UbIndexer idx(model);
-    const std::size_t m = model.num_machines();
+    const ArcIndexer idx(model);
     result.string_fractions.resize(model.num_strings(), 0.0);
     double worth = 0.0;
     for (std::size_t k = 0; k < model.num_strings(); ++k) {
       double f = 0.0;
-      for (std::size_t j = 0; j < m; ++j) {
-        f += solution.x[static_cast<std::size_t>(idx.x(k, 0, j))];
+      for (std::int32_t c = 0; c < idx.fraction_width(k); ++c) {
+        f += solution.x[static_cast<std::size_t>(idx.first(k) + c)];
       }
       result.string_fractions[k] = f;
       worth += model.strings[k].worth_factor() * f;

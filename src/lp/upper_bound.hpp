@@ -4,7 +4,8 @@
 /// Applications may be split into per-machine fractions x[i,k,j]; output
 /// transfers split into per-route fractions y[i,k,j1,j2].  Flow-conservation
 /// constraints tie consecutive applications together and the stage-one
-/// capacity constraints bound every machine and route.  The resulting LP's
+/// capacity constraints bound every machine and route.  The LP is built in
+/// arc-flow form, over y alone (x is a linear image of the flows).  The resulting LP's
 /// optimum dominates the best integral allocation, so it upper-bounds every
 /// heuristic:
 ///
@@ -63,15 +64,27 @@ struct UpperBoundResult {
   std::size_t refactorisations = 0;
 };
 
-/// Builds the fractional-mapping LP.  \p complete selects scenario-3 mode
-/// (full deployment + slackness objective).
+/// Builds the fractional-mapping LP in arc-flow form: the paper's (a)–(g)
+/// LP projected onto the route fractions.  \p complete selects scenario-3
+/// mode (full deployment + slackness objective).
 ///
-/// Row layout: (a) Q deployment rows, (b) equal-fraction rows, (d)/(e) flow
-/// rows per edge, (f) M machine-capacity rows, then (g) route-capacity rows
-/// — the (g) block is **omitted entirely** when no string has an inter-app
-/// edge (single-app workloads, e.g. the TDM-client fleet tier), which drops
-/// M(M-1) rows from fleet-scale instances.  Use upper_bound_route_rows() to
-/// recover the layout when reading duals positionally.
+/// Columns, per string: a string with at least one edge has only its arc
+/// variables y[i,k,j1,j2] in [0, +inf) (edge-major, then source and
+/// destination machine); a single-app string has its M placement columns
+/// x[k,j] in [0,1].  The slackness variable lambda comes last.  The paper's
+/// x is recovered from the flows: app 0's fraction on j is edge 0's out-flow
+/// from j, app i >= 1's is edge i-1's in-flow to j, and f_k is edge 0's
+/// total flow.
+///
+/// Row layout: (a) Q deployment rows, one flow-conservation row per
+/// (internal app, machine), (f) M machine-capacity rows, then (g) route-
+/// capacity rows — the (g) block is **omitted entirely** when no string has
+/// an inter-app edge (single-app workloads, e.g. the TDM-client fleet tier),
+/// which drops M(M-1) rows from fleet-scale instances.  With x substituted
+/// by the flows, (d) and (e) reduce to the conservation rows, and (b) and
+/// the bounds y <= 1 follow from them and (a), so none of these is emitted.
+/// Use upper_bound_route_rows() to recover the layout when reading duals
+/// positionally.
 [[nodiscard]] LpProblem build_upper_bound_lp(const model::SystemModel& model,
                                              bool complete,
                                              UbObjective objective);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "analysis/feasibility.hpp"
 #include "analysis/tightness.hpp"
 #include "model/system_model.hpp"
@@ -11,6 +14,7 @@
 namespace tsce::core {
 namespace {
 
+using model::StringId;
 using model::SystemModel;
 using model::SystemModelBuilder;
 using model::Worth;
@@ -145,6 +149,23 @@ TEST(LpGuidedOrder, FullyDeployableStringsComeFirst) {
   const auto order = lp_guided_order(m);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[2], 0);  // the fractional heavy string sorts last
+}
+
+TEST(LpGuidedOrder, RoundingNoiseInFractionsFallsThroughToWorth) {
+  // Both strings are fully deployed; one fraction carries LP rounding noise.
+  // The noise must not rank the low-worth string first.
+  SystemModelBuilder b(1);
+  b.begin_string(10.0, 100.0, Worth::kLow, "low");
+  b.add_app(1.0, 1.0, 0.0);
+  b.begin_string(10.0, 100.0, Worth::kHigh, "high");
+  b.add_app(1.0, 1.0, 0.0);
+  const SystemModel m = b.build();
+  const std::vector<StringId> expected = {1, 0};
+  EXPECT_EQ(fraction_order(m, {1.0, 1.0 - 1e-15}), expected);
+  EXPECT_EQ(fraction_order(m, {1.0 - 1e-15, 1.0}), expected);
+  // A real difference in deployed fraction still outranks worth.
+  EXPECT_EQ(fraction_order(m, {1.0, 0.5}), (std::vector<StringId>{0, 1}));
+  EXPECT_THROW((void)fraction_order(m, {1.0}), std::invalid_argument);
 }
 
 }  // namespace

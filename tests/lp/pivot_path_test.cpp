@@ -1,4 +1,7 @@
 // Pins the simplex pivot path on upper-bound LPs of the three bench shapes.
+// The LPs are the paper-literal (a)–(g) form built by the test oracle
+// (paper_lp.hpp), so they stay fixed when the library's builder changes and
+// the pins track the simplex engine alone.
 //
 // The solver is deterministic, so a fixed LP must reproduce the same
 // iteration and refactorisation counts and the same optimum bits on every
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "lp/paper_lp.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "lp/upper_bound.hpp"
@@ -90,8 +94,8 @@ LpProblem build_case(const PivotPathCase& c) {
   config.num_machines = c.machines;
   config.num_strings = c.strings;
   const model::SystemModel model = workload::generate(config, rng);
-  return build_upper_bound_lp(model, c.shape == Shape::kSlackness,
-                              UbObjective::kTotalWorth);
+  return build_paper_upper_bound_lp(model, c.shape == Shape::kSlackness,
+                                    UbObjective::kTotalWorth);
 }
 
 class PivotPath : public ::testing::TestWithParam<PivotPathCase> {};

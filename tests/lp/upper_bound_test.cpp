@@ -221,10 +221,10 @@ TEST(UpperBound, BuildSizesAreConsistent) {
                             .build();
   const LpProblem p = build_upper_bound_lp(m, /*complete=*/false,
                                            UbObjective::kTotalWorth);
-  // Variables: x = 2 apps * 2 machines, y = 1 edge * 4 routes.
-  EXPECT_EQ(p.num_variables(), 4u + 4u);
-  // Rows: (a) 1, (b) 1, (d) 2, (e) 2, (f) 2, (g) 2.
-  EXPECT_EQ(p.num_rows(), 10u);
+  // Arc-flow form: only the arcs y = 1 edge * 4 routes; no x columns.
+  EXPECT_EQ(p.num_variables(), 4u);
+  // Rows: (a) 1, no internal app to conserve flow at, (f) 2, (g) 2.
+  EXPECT_EQ(p.num_rows(), 5u);
 }
 
 /// Property: the LP bound dominates every heuristic on random instances.
