@@ -61,9 +61,8 @@ int main(int argc, char** argv) {
     info.set_param("budget", budget);
     tracing = obs::trace_open(trace_path, info);
     if (!tracing) {
-      std::fprintf(stderr, "warning: could not open trace '%s'%s\n",
-                   trace_path.c_str(),
-                   obs::kTracingCompiledIn ? "" : " (tracing compiled out)");
+      std::fprintf(stderr, "warning: could not open trace '%s'\n",
+                   trace_path.c_str());
     }
   }
 

@@ -114,9 +114,8 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
   if (!config.trace_path.empty()) {
     tracing = obs::trace_open(config.trace_path, config.run_info());
     if (!tracing) {
-      std::fprintf(stderr, "warning: could not open trace '%s'%s\n",
-                   config.trace_path.c_str(),
-                   obs::kTracingCompiledIn ? "" : " (tracing compiled out)");
+      std::fprintf(stderr, "warning: could not open trace '%s'\n",
+                   config.trace_path.c_str());
     }
   }
   if (!config.metrics_path.empty()) util::ThreadPool::set_timing(true);

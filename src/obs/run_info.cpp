@@ -1,7 +1,5 @@
 #include "obs/run_info.hpp"
 
-#include "obs/trace.hpp"
-
 // Configure-time build stamps (see src/obs/CMakeLists.txt).  Defaults keep
 // the translation unit compilable outside the CMake build (e.g. tooling).
 #ifndef TSCE_GIT_SHA
@@ -25,7 +23,6 @@ RunInfo RunInfo::current() {
   info.build_type = TSCE_BUILD_TYPE;
   info.compiler = TSCE_COMPILER;
   info.sanitize = TSCE_SANITIZE_FLAGS;
-  info.tracing_compiled = kTracingCompiledIn;
   return info;
 }
 
@@ -35,7 +32,6 @@ util::Json RunInfo::to_json() const {
   j.set("build_type", build_type);
   j.set("compiler", compiler);
   j.set("sanitize", sanitize);
-  j.set("tracing_compiled", tracing_compiled);
   j.set("seed", static_cast<std::int64_t>(seed));
   j.set("threads", threads);
   util::Json p = util::Json::object();

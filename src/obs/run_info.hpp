@@ -28,8 +28,7 @@ struct RunInfo {
   std::string git_sha;
   std::string build_type;
   std::string compiler;
-  std::string sanitize;         ///< TSCE_SANITIZE value, empty when off
-  bool tracing_compiled = false;
+  std::string sanitize;  ///< TSCE_SANITIZE value, empty when off
 
   // Run identity (filled by the caller).
   std::uint64_t seed = 0;

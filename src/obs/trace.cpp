@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#if TSCE_TRACING_ENABLED
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -228,5 +226,3 @@ Span::~Span() {
 }
 
 }  // namespace tsce::obs
-
-#endif  // TSCE_TRACING_ENABLED

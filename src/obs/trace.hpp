@@ -9,16 +9,9 @@
 /// "phase" field by convention so tools/trace_report can group the same span
 /// kind ("search.trial") per strategy.
 ///
-/// Gating is two-level:
-///  * Compile time: the CMake option TSCE_TRACING=OFF defines
-///    TSCE_TRACING_ENABLED=0 and this header degrades to empty inline stubs —
-///    Span becomes an empty class, tracing_active() a constexpr false, so
-///    every `if (tracing_active())` call site is dead code and the tracer
-///    contributes zero instructions (verified by the configure-time
-///    tracing_elided_check).
-///  * Run time: even when compiled in, nothing is recorded until trace_open()
-///    installs an output file (the harnesses' `--trace <path>`); the inactive
-///    cost of a span or event is one relaxed atomic load.
+/// Nothing is recorded until trace_open() installs an output file (the
+/// harnesses' `--trace <path>`); the inactive cost of a span or event is one
+/// relaxed atomic load.
 ///
 /// Threading: each thread serializes records into its own buffer (no lock);
 /// the buffer is flushed to the shared file (under the file lock) when the
@@ -38,13 +31,7 @@
 
 #include "obs/run_info.hpp"
 
-#ifndef TSCE_TRACING_ENABLED
-#define TSCE_TRACING_ENABLED 1
-#endif
-
 namespace tsce::obs {
-
-inline constexpr bool kTracingCompiledIn = TSCE_TRACING_ENABLED != 0;
 
 /// One record field: a key plus a numeric or string value.  No allocation —
 /// keys and string values must outlive the call (they are serialized
@@ -69,8 +56,6 @@ struct Field {
   constexpr Field(std::string_view k, const char* v) noexcept
       : key(k), str(v), is_str(true) {}
 };
-
-#if TSCE_TRACING_ENABLED
 
 /// True between a successful trace_open() and trace_close().
 [[nodiscard]] bool tracing_active() noexcept;
@@ -107,24 +92,5 @@ class Span {
   std::string name_;
   std::string fields_;  ///< pre-serialized ,"k":v fragments
 };
-
-#else  // TSCE_TRACING_ENABLED == 0: fully elided surface
-
-constexpr bool tracing_active() noexcept { return false; }
-inline bool trace_open(const std::string&, const RunInfo&) { return false; }
-inline void trace_close() {}
-inline void trace_event(std::string_view, std::initializer_list<Field>) {}
-
-class Span {
- public:
-  explicit Span(std::string_view) {}
-  Span(std::string_view, std::initializer_list<Field>) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void add(std::string_view, double) {}
-  void add(std::string_view, std::string_view) {}
-};
-
-#endif  // TSCE_TRACING_ENABLED
 
 }  // namespace tsce::obs

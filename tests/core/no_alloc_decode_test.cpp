@@ -3,7 +3,7 @@
 /// identical stream must perform zero heap allocations — every buffer
 /// (arena, snapshot stack, scratch vectors, journals) is sized by the first
 /// pass and reused byte-for-byte afterwards.  Complements the static
-/// no-alloc-hot analyze rule with a dynamic check.
+/// transitive-hot-alloc analyze rule with a dynamic check.
 ///
 /// This test owns its binary: it replaces global operator new/delete with
 /// counting shims, which must not leak into the other test executables.

@@ -4,7 +4,6 @@
 
 #include <string>
 
-#include "obs/trace.hpp"
 #include "util/json.hpp"
 
 namespace tsce::obs {
@@ -15,7 +14,6 @@ TEST(RunInfo, CurrentFillsBuildIdentity) {
   EXPECT_FALSE(info.git_sha.empty());
   EXPECT_FALSE(info.build_type.empty());
   EXPECT_FALSE(info.compiler.empty());
-  EXPECT_EQ(info.tracing_compiled, kTracingCompiledIn);
   // Run identity stays at defaults until the caller fills it.
   EXPECT_EQ(info.seed, 0u);
   EXPECT_EQ(info.threads, 1u);
@@ -34,7 +32,6 @@ TEST(RunInfo, ToJsonCarriesAllFields) {
   EXPECT_EQ(j.at("build_type").as_string(), info.build_type);
   EXPECT_EQ(j.at("compiler").as_string(), info.compiler);
   EXPECT_TRUE(j.contains("sanitize"));
-  EXPECT_EQ(j.at("tracing_compiled").as_bool(), kTracingCompiledIn);
   EXPECT_EQ(j.at("seed").as_number(), 2005.0);
   EXPECT_EQ(j.at("threads").as_number(), 4.0);
   EXPECT_EQ(j.at("params").at("scenario").as_string(), "highly_loaded");

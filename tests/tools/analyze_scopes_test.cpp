@@ -1,10 +1,9 @@
 /// \file analyze_scopes_test.cpp
-/// Unit tests for the lexer/scope-parser corner cases the concurrency tier
-/// leans on, compiled directly against the analyzer translation units: the
-/// golden fixtures drive the binary end-to-end, but these cases are about
-/// exact token and extent recovery — user-defined literals, operator<=>,
-/// member access through `this->`, and nested lambdas capturing a lock handle
-/// by reference.
+/// Unit tests for lexer, scope-parser and call-graph corner cases, compiled
+/// directly against the analyzer translation units: the golden fixtures drive
+/// the binary end-to-end, but these cases are about exact token and extent
+/// recovery — user-defined literals, operator<=>, and calls through
+/// `this->`.
 
 #include <gtest/gtest.h>
 
@@ -12,19 +11,14 @@
 #include <string>
 #include <vector>
 
-#include "analyze/accesses.hpp"
 #include "analyze/callgraph.hpp"
 #include "analyze/lexer.hpp"
 #include "analyze/scopes.hpp"
 
 namespace {
 
-using tsce::analyze::AccessIndex;
-using tsce::analyze::AccessKind;
-using tsce::analyze::build_access_index;
 using tsce::analyze::build_call_graph;
 using tsce::analyze::CallGraph;
-using tsce::analyze::FieldAccess;
 using tsce::analyze::FileStructure;
 using tsce::analyze::FileUnit;
 using tsce::analyze::lex;
@@ -129,118 +123,6 @@ TEST(AnalyzeScopes, ThisArrowCallResolvesToTheCallersClass) {
     if (e.callee == helper) edge = true;
   }
   EXPECT_TRUE(edge);
-}
-
-TEST(AnalyzeScopes, ThisArrowFieldAccessIsIndexed) {
-  // `this->count_ = v` attributes to (Engine, count_) as a write, same as
-  // the bare-member spelling.
-  const std::vector<FileUnit> units = one_unit(
-      "class Engine {\n"
-      " public:\n"
-      "  void set(int v) { this->count_ = v; }\n"
-      "  int get() const { return count_; }\n"
-      " private:\n"
-      "  int count_ = 0;\n"
-      "};\n");
-  const CallGraph graph = build_call_graph(units);
-  const AccessIndex index = build_access_index(units, graph);
-  bool saw_write = false;
-  bool saw_read = false;
-  for (const FieldAccess& a : index.accesses) {
-    if (a.cls != "Engine" || a.field != "count_") continue;
-    if (a.kind == AccessKind::kWrite) saw_write = true;
-    if (a.kind == AccessKind::kRead) saw_read = true;
-  }
-  EXPECT_TRUE(saw_write);
-  EXPECT_TRUE(saw_read);
-}
-
-TEST(AnalyzeScopes, NestedLambdaCapturingLockHandleKeepsTheLockset) {
-  // A nested lambda capturing the lock handle by reference runs inside the
-  // guarded extent (it is invoked in place, not pooled): field accesses in
-  // its body must still carry the lock in their lockset.
-  const std::vector<FileUnit> units = one_unit(
-      "#include <mutex>\n"
-      "class Engine {\n"
-      " public:\n"
-      "  void tick() {\n"
-      "    std::lock_guard<std::mutex> hold(mu_);\n"
-      "    auto outer = [&hold, this] {\n"
-      "      auto inner = [&] { count_ += 1; };\n"
-      "      inner();\n"
-      "    };\n"
-      "    outer();\n"
-      "  }\n"
-      " private:\n"
-      "  std::mutex mu_;\n"
-      "  int count_ = 0;\n"
-      "};\n");
-  const CallGraph graph = build_call_graph(units);
-  const AccessIndex index = build_access_index(units, graph);
-  bool saw = false;
-  for (const FieldAccess& a : index.accesses) {
-    if (a.cls != "Engine" || a.field != "count_" ||
-        a.kind != AccessKind::kWrite) {
-      continue;
-    }
-    saw = true;
-    EXPECT_FALSE(a.in_pool_lambda);
-    EXPECT_EQ(index.lockset_of(a).count("Engine::mu_"), 1u)
-        << "lockset lost across the nested lambdas";
-  }
-  EXPECT_TRUE(saw);
-}
-
-TEST(AnalyzeScopes, PoolLambdaSeversTheSubmittersLockset) {
-  // The inverse case: inside a pool-submitted lambda the submitting frame's
-  // guard is NOT held when the body runs, so the lockset must be empty.
-  const std::vector<FileUnit> units = one_unit(
-      "#include <mutex>\n"
-      "struct Pool { template <typename F> void submit(F&& f) { f(); } };\n"
-      "class Engine {\n"
-      " public:\n"
-      "  void tick(Pool& pool) {\n"
-      "    std::lock_guard<std::mutex> hold(mu_);\n"
-      "    pool.submit([this] { count_ += 1; });\n"
-      "  }\n"
-      " private:\n"
-      "  std::mutex mu_;\n"
-      "  int count_ = 0;\n"
-      "};\n");
-  const CallGraph graph = build_call_graph(units);
-  const AccessIndex index = build_access_index(units, graph);
-  bool saw = false;
-  for (const FieldAccess& a : index.accesses) {
-    if (a.cls != "Engine" || a.field != "count_" ||
-        a.kind != AccessKind::kWrite) {
-      continue;
-    }
-    saw = true;
-    EXPECT_TRUE(a.in_pool_lambda);
-    EXPECT_TRUE(index.lockset_of(a).empty())
-        << "submitter's guard leaked into the pool lambda's lockset";
-  }
-  EXPECT_TRUE(saw);
-}
-
-TEST(AnalyzeScopes, ThreadLocalMemberIsRecognized) {
-  // `static thread_local` members are the sharding idiom the
-  // unguarded-shared-write rule exempts; the decl walk must keep the
-  // modifier so the field table sees it.
-  const std::vector<FileUnit> units = one_unit(
-      "class Shards {\n"
-      " public:\n"
-      "  void bump() { slot_ += 1; }\n"
-      " private:\n"
-      "  static thread_local int slot_;\n"
-      "};\n");
-  const CallGraph graph = build_call_graph(units);
-  const AccessIndex index = build_access_index(units, graph);
-  const auto cls = index.fields.find("Shards");
-  ASSERT_NE(cls, index.fields.end());
-  const auto field = cls->second.find("slot_");
-  ASSERT_NE(field, cls->second.end());
-  EXPECT_TRUE(field->second.is_thread_local);
 }
 
 }  // namespace

@@ -36,15 +36,10 @@ struct ClassContext {
 };
 
 /// Scans backward from a definition's name over its leading tokens (return
-/// type, attributes, qualifier chain) looking for markers.  Stops at a
-/// statement boundary; bounded so a pathological file cannot quadratic-scan.
-struct LeadingMarkers {
-  bool hot = false;
-  bool is_virtual = false;
-};
-
-LeadingMarkers scan_leading(const TokenStream& ts, std::size_t name_idx) {
-  LeadingMarkers m;
+/// type, attributes, qualifier chain) looking for the TSCE_HOT marker.  Stops
+/// at a statement boundary; bounded so a pathological file cannot
+/// quadratic-scan.
+bool has_hot_marker(const TokenStream& ts, std::size_t name_idx) {
   std::size_t k = ts.prev_code(name_idx);
   std::size_t guard = 0;
   const std::size_t n = ts.size();
@@ -54,8 +49,7 @@ LeadingMarkers scan_leading(const TokenStream& ts, std::size_t name_idx) {
         (t.text == ";" || t.text == "{" || t.text == "}")) {
       break;
     }
-    if (t.ident("TSCE_HOT")) m.hot = true;
-    if (t.ident("virtual")) m.is_virtual = true;
+    if (t.ident("TSCE_HOT")) return true;
     if (t.punct(">")) {
       // Jump template argument lists in the return type as one step.
       const std::size_t open = ts.match_backward(k);
@@ -65,15 +59,13 @@ LeadingMarkers scan_leading(const TokenStream& ts, std::size_t name_idx) {
     }
     k = ts.prev_code(k);
   }
-  return m;
+  return false;
 }
 
 /// Walks the tokens after a candidate signature's closing `)` and decides
 /// whether a body follows.  Returns the token index of the body `{`, or npos
-/// for declarations / non-definitions.  `saw_override` reports an `override`
-/// specifier for the virtual-method index.
-std::size_t find_body(const TokenStream& ts, std::size_t close_paren,
-                      bool* saw_override) {
+/// for declarations / non-definitions.
+std::size_t find_body(const TokenStream& ts, std::size_t close_paren) {
   const std::size_t n = ts.size();
   std::size_t k = ts.next_code(close_paren);
   std::size_t guard = 0;
@@ -83,7 +75,6 @@ std::size_t find_body(const TokenStream& ts, std::size_t close_paren,
     if (t.punct(";") || t.punct("=") || t.punct(",") || t.punct(")")) {
       return CallGraph::npos;  // declaration, defaulted, or an expression
     }
-    if (t.ident("override")) *saw_override = true;
     if (t.punct(":")) {
       // Constructor initializer list: identifier chains with `(...)` / `{...}`
       // initializers separated by commas; the first `{` after a complete
@@ -241,12 +232,6 @@ std::string CallGraph::to_dot() const {
              ";\n";
     }
   }
-  for (const auto& scc : sccs_) {
-    if (scc.size() < 2) continue;
-    dot += "  // SCC:";
-    for (std::size_t m : scc) dot += " " + nodes_[m].qualified;
-    dot += "\n";
-  }
   dot += "}\n";
   return dot;
 }
@@ -254,8 +239,7 @@ std::string CallGraph::to_dot() const {
 CallGraph build_call_graph(const std::vector<FileUnit>& units) {
   CallGraph g;
 
-  // name -> classes declaring it virtual/override; class -> direct bases.
-  std::map<std::string, std::set<std::string>> virtual_decls;
+  // class -> direct bases.
   std::map<std::string, std::vector<std::string>> bases;
 
   auto node_for = [&](const FunctionDef& def) -> std::size_t {
@@ -334,9 +318,7 @@ CallGraph build_call_graph(const std::vector<FileUnit>& units) {
       if (i + 1 >= n || !toks[i + 1].punct("(")) continue;
       const std::size_t close = ts.match_forward(i + 1);
       if (close >= n) continue;
-      bool saw_override = false;
-      const std::size_t body = find_body(ts, close, &saw_override);
-      const LeadingMarkers markers = scan_leading(ts, i);
+      const std::size_t body = find_body(ts, close);
 
       // Explicit qualifier (`Class::name`) wins over the context stack.
       std::string cls;
@@ -348,9 +330,6 @@ CallGraph build_call_graph(const std::vector<FileUnit>& units) {
         cls = class_stack.back().name;
       }
 
-      if ((markers.is_virtual || saw_override) && !cls.empty()) {
-        virtual_decls[t.text].insert(cls);
-      }
       if (body >= n) continue;  // declaration only
       const std::size_t body_close = ts.match_forward(body);
       if (body_close >= n) continue;
@@ -363,7 +342,7 @@ CallGraph build_call_graph(const std::vector<FileUnit>& units) {
       def.body_begin = body;
       def.body_end = body_close;
       def.line = t.line;
-      def.hot = markers.hot;
+      def.hot = has_hot_marker(ts, i);
       const std::size_t node = node_for(def);
       g.nodes_[node].defs.push_back(def);
       g.nodes_[node].hot = g.nodes_[node].hot || def.hot;
@@ -411,8 +390,7 @@ CallGraph build_call_graph(const std::vector<FileUnit>& units) {
       if (!call.receiver.empty() && call.qualified) {
         callee = lookup_method(call.receiver, call.name);
       } else if (call.receiver == "this") {
-        // `this->method()` dispatches on the caller's own class (virtual
-        // overrides are handled below like any other resolved method edge).
+        // `this->method()` dispatches on the caller's own class.
         const std::string& caller_cls =
             g.nodes_[caller].defs.front().class_name;
         if (!caller_cls.empty()) callee = lookup_method(caller_cls, call.name);
@@ -481,67 +459,6 @@ CallGraph build_call_graph(const std::vector<FileUnit>& units) {
     }
   }
 
-  // --- Tarjan SCC (iterative), components in reverse topological order -----
-  const std::size_t count = g.nodes_.size();
-  g.scc_of_.assign(count, CallGraph::npos);
-  std::vector<std::size_t> index(count, CallGraph::npos);
-  std::vector<std::size_t> lowlink(count, 0);
-  std::vector<bool> on_stack(count, false);
-  std::vector<std::size_t> stack;
-  std::size_t next_index = 0;
-
-  struct Frame {
-    std::size_t node;
-    std::size_t edge;
-  };
-  for (std::size_t start = 0; start < count; ++start) {
-    if (index[start] != CallGraph::npos) continue;
-    std::vector<Frame> frames{{start, 0}};
-    index[start] = lowlink[start] = next_index++;
-    stack.push_back(start);
-    on_stack[start] = true;
-    while (!frames.empty()) {
-      Frame& fr = frames.back();
-      if (fr.edge < g.nodes_[fr.node].edges.size()) {
-        const std::size_t w = g.nodes_[fr.node].edges[fr.edge].callee;
-        ++fr.edge;
-        if (index[w] == CallGraph::npos) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back({w, 0});
-        } else if (on_stack[w]) {
-          lowlink[fr.node] = std::min(lowlink[fr.node], index[w]);
-        }
-        continue;
-      }
-      const std::size_t v = fr.node;
-      frames.pop_back();
-      if (!frames.empty()) {
-        lowlink[frames.back().node] =
-            std::min(lowlink[frames.back().node], lowlink[v]);
-      }
-      if (lowlink[v] == index[v]) {
-        std::vector<std::size_t> comp;
-        while (true) {
-          const std::size_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          g.scc_of_[w] = g.sccs_.size();
-          comp.push_back(w);
-          if (w == v) break;
-        }
-        std::sort(comp.begin(), comp.end());
-        g.sccs_.push_back(std::move(comp));
-      }
-    }
-  }
-
-  // Publish the virtual-method index through the bases-aware map.
-  for (auto& [name, classes] : virtual_decls) {
-    auto& list = g.virtuals_[name];
-    list.assign(classes.begin(), classes.end());
-  }
   return g;
 }
 

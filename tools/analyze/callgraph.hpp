@@ -17,10 +17,9 @@
 ///     edge is a false positive, and interprocedural findings must be
 ///     trustworthy enough to gate CI.
 ///
-/// On top of the edge list the graph computes Tarjan SCCs (so reachability
-/// and set propagation converge on cyclic call chains) and exposes the
-/// forward-reachability and fixpoint helpers the four interprocedural rules
-/// (rules in interp.cpp) are written against.
+/// On top of the edge list the graph exposes the forward-reachability and
+/// witness-path helpers the two interprocedural rules (interp.cpp) are
+/// written against.
 
 #pragma once
 
@@ -101,26 +100,8 @@ class CallGraph {
   [[nodiscard]] std::string path_to(const std::vector<std::size_t>& parents,
                                     std::size_t node) const;
 
-  /// Strongly connected components in reverse topological order (callees
-  /// before callers): component id per node, plus the node lists.
-  [[nodiscard]] const std::vector<std::size_t>& scc_of() const noexcept {
-    return scc_of_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::size_t>>& sccs()
-      const noexcept {
-    return sccs_;
-  }
-
-  /// Methods declared `virtual` or `override` anywhere in the indexed units
-  /// (declarations count, bodies not required): method name -> sorted class
-  /// names declaring it.  Drives the hot-path-virtual rule.
-  [[nodiscard]] const std::map<std::string, std::vector<std::string>>&
-  virtual_methods() const noexcept {
-    return virtuals_;
-  }
-
   /// Graphviz DOT rendering: one node per function, hot nodes and
-  /// hot-reachable nodes filled, SCCs of size > 1 noted.
+  /// hot-reachable nodes filled.
   [[nodiscard]] std::string to_dot() const;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -130,9 +111,6 @@ class CallGraph {
 
   std::vector<Node> nodes_;
   std::map<std::string, std::size_t> by_name_;
-  std::map<std::string, std::vector<std::string>> virtuals_;
-  std::vector<std::size_t> scc_of_;
-  std::vector<std::vector<std::size_t>> sccs_;
 };
 
 /// Indexes every definition in the graph-eligible units and resolves calls

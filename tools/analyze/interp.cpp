@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <set>
 #include <string>
-#include <tuple>
-
-#include "analyze/accesses.hpp"
 
 namespace tsce::analyze {
 
@@ -76,13 +72,14 @@ void rule_transitive_hot_alloc(const std::vector<FileUnit>& units,
   for (std::size_t node = 0; node < g.nodes().size(); ++node) {
     if (parent[node] == npos) continue;
     const CallGraph::Node& nd = g.nodes()[node];
-    // The annotated frame itself is the per-file no-alloc-hot rule's job.
-    if (nd.hot) continue;
-    const std::string path = g.path_to(parent, node);
-    const std::string suffix = "' is reachable from a TSCE_HOT frame (" +
-                               path +
-                               "); the whole hot path must stay "
-                               "allocation-free";
+    // The annotated frame itself is checked like everything it reaches;
+    // lambdas defined in its body are not graph nodes, so they count as it.
+    const std::string suffix =
+        nd.hot ? "' is a TSCE_HOT frame; the whole hot path must stay "
+                 "allocation-free"
+               : "' is reachable from a TSCE_HOT frame (" +
+                     g.path_to(parent, node) +
+                     "); the whole hot path must stay allocation-free";
 
     for (const FunctionDef& def : nd.defs) {
       const FileUnit& unit = units[def.file];
@@ -135,157 +132,6 @@ void rule_transitive_hot_alloc(const std::vector<FileUnit>& units,
         }
       }
     }
-  }
-}
-
-// --- lock-order-cycle -------------------------------------------------------
-
-/// One lock acquisition inside a definition, with its resolved mutex key.
-struct Acquisition {
-  std::string key;
-  std::string chain;  ///< spelled access chain, for instance disambiguation
-  std::size_t decl_idx = 0;
-  std::size_t scope_end = 0;
-  std::size_t file = 0;
-  std::size_t line = 0;
-};
-
-// mutex_key (the chain -> stable identity resolution shared with the
-// concurrency tier's lockset dataflow) lives in accesses.{hpp,cpp}.
-
-void rule_lock_order_cycle(const std::vector<FileUnit>& units,
-                           const CallGraph& g, std::vector<Finding>& out) {
-  // Acquisitions per node, in definition order.
-  std::vector<std::vector<Acquisition>> acquired(g.nodes().size());
-  for (std::size_t node = 0; node < g.nodes().size(); ++node) {
-    for (const FunctionDef& def : g.nodes()[node].defs) {
-      const FileUnit& unit = units[def.file];
-      for (const LockScope& lock : unit.structure.locks) {
-        if (lock.decl_idx <= def.body_begin || lock.decl_idx >= def.body_end) {
-          continue;
-        }
-        if (g.enclosing(def.file, lock.decl_idx) != node) continue;
-        for (const std::string& chain : lock.mutexes) {
-          acquired[node].push_back({mutex_key(unit, def, chain, lock.decl_idx),
-                                    chain, lock.decl_idx, lock.scope_end,
-                                    def.file, lock.line});
-        }
-      }
-    }
-  }
-
-  // Fixpoint: every mutex key acquired by a node or anything it can call.
-  // SCCs arrive callees-first, so one sweep converges.
-  std::vector<std::set<std::string>> all_keys(g.nodes().size());
-  for (const std::vector<std::size_t>& scc : g.sccs()) {
-    std::set<std::string> keys;
-    for (std::size_t m : scc) {
-      for (const Acquisition& a : acquired[m]) keys.insert(a.key);
-      for (const CallEdge& e : g.nodes()[m].edges) {
-        keys.insert(all_keys[e.callee].begin(), all_keys[e.callee].end());
-      }
-    }
-    for (std::size_t m : scc) all_keys[m] = keys;
-  }
-
-  // Order edges: key A held while key B acquired (in-function nesting or
-  // through a call made inside A's extent).
-  struct OrderEdge {
-    std::string from, to;
-    std::size_t file = 0;
-    std::size_t line = 0;
-  };
-  std::vector<OrderEdge> edges;
-  auto add_edge = [&](const std::string& from, const std::string& to,
-                      std::size_t file, std::size_t line) {
-    const bool dup = std::any_of(
-        edges.begin(), edges.end(), [&](const OrderEdge& e) {
-          return e.from == from && e.to == to;
-        });
-    if (!dup) edges.push_back({from, to, file, line});
-  };
-  for (std::size_t node = 0; node < g.nodes().size(); ++node) {
-    for (const Acquisition& a : acquired[node]) {
-      for (const Acquisition& b : acquired[node]) {
-        if (b.file != a.file || b.decl_idx <= a.decl_idx ||
-            b.decl_idx >= a.scope_end) {
-          continue;
-        }
-        // Two same-key acquisitions with different spellings are almost
-        // always distinct instances (hand-over-hand per-object locking);
-        // identical spellings nested in one function are a real
-        // re-acquisition.
-        if (a.key == b.key && a.chain != b.chain) continue;
-        add_edge(a.key, b.key, b.file, b.line);
-      }
-      for (const CallEdge& call : g.nodes()[node].edges) {
-        if (call.file != a.file || call.tok_idx <= a.decl_idx ||
-            call.tok_idx >= a.scope_end) {
-          continue;
-        }
-        for (const std::string& key : all_keys[call.callee]) {
-          add_edge(a.key, key, call.file, call.line);
-        }
-      }
-    }
-  }
-
-  // Cycle = an edge whose head already reaches its tail.
-  std::map<std::string, std::vector<const OrderEdge*>> adj;
-  for (const OrderEdge& e : edges) adj[e.from].push_back(&e);
-  auto reaches = [&](const std::string& from, const std::string& to) {
-    std::set<std::string> seen{from};
-    std::vector<std::string> queue{from};
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const auto it = adj.find(queue[head]);
-      if (it == adj.end()) continue;
-      for (const OrderEdge* e : it->second) {
-        if (e->to == to) return true;
-        if (seen.insert(e->to).second) queue.push_back(e->to);
-      }
-    }
-    return false;
-  };
-
-  // Group cyclic edges by their unordered mutex pair/cycle set so one cycle
-  // yields one finding, at its smallest (file, line) witness edge.
-  std::map<std::string, const OrderEdge*> witness;
-  for (const OrderEdge& e : edges) {
-    const bool cyclic = e.from == e.to || reaches(e.to, e.from);
-    if (!cyclic) continue;
-    std::string group = e.from < e.to ? e.from + "|" + e.to
-                                      : e.to + "|" + e.from;
-    const auto it = witness.find(group);
-    if (it == witness.end() ||
-        std::tie(units[e.file].rel, e.line) <
-            std::tie(units[it->second->file].rel, it->second->line)) {
-      witness[group] = &e;
-    }
-  }
-  for (const auto& [group, e] : witness) {
-    std::string message;
-    if (e->from == e->to) {
-      message = "potential self-deadlock: '" + e->from +
-                "' is acquired again while already held on this path";
-    } else {
-      // Name the counter-edge so the report shows both halves of the cycle.
-      const OrderEdge* back = nullptr;
-      for (const OrderEdge& other : edges) {
-        if (other.from == e->to && reaches(other.to, e->from)) {
-          back = &other;
-          break;
-        }
-      }
-      message = "potential deadlock: lock-order cycle between '" + e->from +
-                "' and '" + e->to + "'; this path acquires '" + e->to +
-                "' while holding '" + e->from + "'";
-      if (back != nullptr) {
-        message += ", the opposite order is taken at " +
-                   units[back->file].rel + ":" + std::to_string(back->line);
-      }
-    }
-    out.push_back(
-        {units[e->file].rel, e->line, "lock-order-cycle", message, {}});
   }
 }
 
@@ -369,70 +215,6 @@ void rule_rng_stream_escape(const std::vector<FileUnit>& units,
   }
 }
 
-// --- hot-path-virtual -------------------------------------------------------
-
-void rule_hot_path_virtual(const std::vector<FileUnit>& units,
-                           const CallGraph& g, std::vector<Finding>& out) {
-  std::vector<std::size_t> roots;
-  for (std::size_t i = 0; i < g.nodes().size(); ++i) {
-    if (g.nodes()[i].hot) roots.push_back(i);
-  }
-  if (roots.empty()) return;
-  const std::vector<std::size_t> parent = g.reach_from(roots);
-  const auto& virtuals = g.virtual_methods();
-
-  for (std::size_t node = 0; node < g.nodes().size(); ++node) {
-    if (parent[node] == npos) continue;
-    const CallGraph::Node& nd = g.nodes()[node];
-    const std::string path = g.path_to(parent, node);
-    for (const FunctionDef& def : nd.defs) {
-      const FileUnit& unit = units[def.file];
-      for (const Call& call : unit.structure.calls) {
-        if (call.name_idx <= def.body_begin || call.name_idx >= def.body_end ||
-            call.qualified) {
-          continue;
-        }
-        if (g.enclosing(def.file, call.name_idx) != node) continue;
-        const std::size_t line = unit.ts.at(call.name_idx).line;
-        const auto it = virtuals.find(call.name);
-        if (it != virtuals.end()) {
-          // `recv.method(...)` on a receiver typed as a class declaring the
-          // method virtual, or an unqualified call to the caller's own
-          // virtual — both dispatch through the vtable.
-          std::string cls;
-          if (!call.receiver.empty()) {
-            cls = unit.structure.type_of(call.receiver, call.name_idx);
-          } else {
-            cls = def.class_name;
-          }
-          const bool is_virtual =
-              !cls.empty() && std::find(it->second.begin(), it->second.end(),
-                                        cls) != it->second.end();
-          if (is_virtual) {
-            out.push_back(
-                {unit.rel, line, "hot-path-virtual",
-                 "virtual dispatch of '" + cls + "::" + call.name +
-                     "' inside TSCE_HOT-reachable code (" + path +
-                     "); devirtualize or hoist the dispatch off the hot path",
-                 {}});
-            continue;
-          }
-        }
-        if (call.receiver.empty() &&
-            unit.structure.type_of(call.name, call.name_idx) == "function") {
-          out.push_back(
-              {unit.rel, line, "hot-path-virtual",
-               "call through std::function '" + call.name +
-                   "' inside TSCE_HOT-reachable code (" + path +
-                   "); use a direct call or a template parameter on the hot "
-                   "path",
-               {}});
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<Finding> run_interprocedural_rules(
@@ -449,9 +231,7 @@ std::vector<Finding> run_interprocedural_rules(
     }
   };
   timed("transitive-hot-alloc", rule_transitive_hot_alloc);
-  timed("lock-order-cycle", rule_lock_order_cycle);
   timed("rng-stream-escape", rule_rng_stream_escape);
-  timed("hot-path-virtual", rule_hot_path_virtual);
   return out;
 }
 

@@ -1,21 +1,15 @@
 /// \file interp.hpp
-/// The four interprocedural rule visitors of tsce_analyze, written against
+/// The two interprocedural rule visitors of tsce_analyze, written against
 /// the project call graph (callgraph.hpp):
 ///
-///   transitive-hot-alloc  allocation sites in functions reachable from a
-///                         TSCE_HOT frame through any call chain (the
-///                         per-file no-alloc-hot rule covers the annotated
-///                         frame itself; this covers everything it calls);
-///   lock-order-cycle      per-function lock acquisition extents composed
-///                         along call edges into a global mutex-order graph;
-///                         any cycle — including a re-acquisition self-loop —
-///                         is a potential deadlock;
+///   transitive-hot-alloc  allocation sites (new, make_unique/make_shared,
+///                         push_back/emplace_back with no same-file reserve)
+///                         in a TSCE_HOT frame — lambdas in its body included
+///                         — or in any function it reaches through a call
+///                         chain;
 ///   rng-stream-escape     a util::Rng& parameter reaching a function that is
 ///                         also reachable from a ThreadPool submission site
-///                         without a Rng::stream derivation on the path;
-///   hot-path-virtual      virtual or std::function dispatch inside
-///                         TSCE_HOT-reachable code (devirtualization
-///                         candidates for the service hot path).
+///                         without a Rng::stream derivation on the path.
 ///
 /// Findings come back raw; analyze_project routes them through each file's
 /// suppression list before they become diagnostics.

@@ -7,9 +7,7 @@
 #include <set>
 #include <tuple>
 
-#include "analyze/accesses.hpp"
 #include "analyze/callgraph.hpp"
-#include "analyze/concurrency.hpp"
 #include "analyze/interp.hpp"
 #include "analyze/lexer.hpp"
 #include "analyze/scopes.hpp"
@@ -20,7 +18,7 @@ namespace {
 
 using TK = TokenKind;
 
-const std::array<RuleInfo, 19> kRegistry = {{
+const std::array<RuleInfo, 11> kRegistry = {{
     {"deterministic-rng",
      "all randomness flows through util::Rng; no std::rand / srand / "
      "random_device / time() seeds outside tests/"},
@@ -39,39 +37,16 @@ const std::array<RuleInfo, 19> kRegistry = {{
     {"float-fitness-equality",
      "==/!= on fitness/slackness doubles; compare std::bit_cast bit patterns "
      "(determinism auditor convention)"},
-    {"lock-across-callback",
-     "a lock_guard/unique_lock scope must not enclose ThreadPool::submit / "
-     "for_each_index / user-callback invocation"},
     {"rng-shared-capture",
      "an Rng captured by reference into a thread-pool lambda must derive "
      "per-item streams via Rng::stream"},
-    {"no-alloc-hot",
-     "no new / make_unique / make_shared / push_back-without-reserve inside a "
-     "TSCE_HOT function; hoist into ctor-sized scratch buffers"},
     {"transitive-hot-alloc",
-     "no allocation in any function transitively reachable from a TSCE_HOT "
-     "frame through the project call graph"},
-    {"lock-order-cycle",
-     "lock acquisition order composed along call edges must be acyclic; a "
-     "cycle (or re-acquisition) is a potential deadlock"},
+     "no new / make_unique / make_shared / push_back-without-reserve in a "
+     "TSCE_HOT frame or any function it reaches through the project call "
+     "graph"},
     {"rng-stream-escape",
      "a util::Rng& must not reach ThreadPool-submitted code without a "
      "Rng::stream derivation on the call path"},
-    {"hot-path-virtual",
-     "no virtual or std::function dispatch inside TSCE_HOT-reachable code; "
-     "devirtualize or hoist the dispatch"},
-    {"guarded-by-inconsistency",
-     "a field guarded by the same lock at >= 80% of its access sites must not "
-     "be touched lock-free at the remaining sites"},
-    {"unguarded-shared-write",
-     "no plain lock-free write to a field accessed from both pool-submitted "
-     "and main-thread code; guard it, make it std::atomic, or shard it"},
-    {"atomic-plain-mix",
-     "a field accessed through atomic member calls (.load/.store/.fetch_*) "
-     "must not also be written with plain stores"},
-    {"lock-scope-leak",
-     "a lock handle must not be returned or std::move'd out of the scope the "
-     "analyzer credited it to; escaped guards poison every derived lockset"},
     {"unused-suppression",
      "every tsce-lint: allow(...) comment must suppress an actual finding"},
 }};
@@ -486,40 +461,18 @@ void rule_float_fitness_equality(FileCheck& c) {
     return (contains("slack") || contains("fitness")) &&
            c.fs.type_of(name, k) == "double";
   };
-  // Does the call whose ')' is at \p close wrap its operand in bit_cast?
-  auto closes_bit_cast = [&](std::size_t close) {
-    const std::size_t open = c.ts.match_backward(close);
-    if (open >= toks.size()) return false;
-    for (std::size_t k = open; k-- > 0;) {
-      const Token& t = toks[k];
-      if (t.kind == TK::kIdentifier) {
-        if (t.text == "bit_cast") return true;
-        continue;  // template args / qualifiers
-      }
-      if (t.kind == TK::kPunct &&
-          (t.text == "::" || t.text == "<" || t.text == ">" ||
-           t.text == ">>")) {
-        continue;
-      }
-      break;
-    }
-    return false;
-  };
-
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != TK::kPunct ||
         (toks[i].text != "==" && toks[i].text != "!=")) {
       continue;
     }
     bool flagged = false;
-    // Left operand: terminal token of the postfix chain.
+    // Left operand: terminal token of the postfix chain (a `)` — e.g. a
+    // bit_cast call — is never a fitness double).
     const std::size_t lhs = c.ts.prev_code(i);
-    if (lhs < toks.size()) {
-      if (toks[lhs].kind == TK::kIdentifier && is_fitness_double(lhs)) {
-        flagged = true;
-      } else if (toks[lhs].punct(")") && closes_bit_cast(lhs)) {
-        // bit_cast pattern — intentional bit comparison.
-      }
+    if (lhs < toks.size() && toks[lhs].kind == TK::kIdentifier &&
+        is_fitness_double(lhs)) {
+      flagged = true;
     }
     // Right operand: walk the postfix chain forward to its terminal.
     if (!flagged) {
@@ -559,45 +512,6 @@ void rule_float_fitness_equality(FileCheck& c) {
                "floating-point ==/!= on a fitness/slackness double; compare "
                "std::bit_cast<std::uint64_t> bit patterns (the determinism "
                "auditor convention)");
-    }
-  }
-}
-
-void rule_lock_across_callback(FileCheck& c) {
-  const auto& toks = c.ts.tokens();
-  auto inside_deferred_lambda = [&](std::size_t call_idx, std::size_t from) {
-    // A lambda defined inside the lock scope runs later (unless immediately
-    // invoked, which this heuristic accepts as a miss): skip its body.
-    return std::any_of(c.fs.lambdas.begin(), c.fs.lambdas.end(),
-                       [&](const Lambda& l) {
-                         return l.intro_idx > from && l.body_begin < call_idx &&
-                                call_idx < l.body_end;
-                       });
-  };
-  for (const LockScope& lock : c.fs.locks) {
-    for (const Call& call : c.fs.calls) {
-      if (call.name_idx <= lock.decl_idx || call.name_idx >= lock.scope_end) {
-        continue;
-      }
-      const bool pool_call = call.name == "submit" ||
-                             call.name == "parallel_for" ||
-                             call.name == "for_each_index" ||
-                             call.name == "for_each";
-      const bool callback_call =
-          call.receiver.empty() &&
-          (call.name == "callback" || call.name == "fn" ||
-           (call.name.size() > 3 &&
-            call.name.compare(call.name.size() - 3, 3, "_fn") == 0) ||
-           (call.name.size() > 9 &&
-            call.name.compare(call.name.size() - 9, 9, "_callback") == 0));
-      if (!pool_call && !callback_call) continue;
-      if (inside_deferred_lambda(call.name_idx, lock.decl_idx)) continue;
-      c.report(lock.line, "lock-across-callback",
-               "lock scope encloses '" + call.name +
-                   "' (line " + std::to_string(toks[call.name_idx].line) +
-                   "); release the lock before handing work to the pool or a "
-                   "callback");
-      break;  // one finding per lock scope
     }
   }
 }
@@ -656,103 +570,6 @@ void rule_rng_shared_capture(FileCheck& c) {
   }
 }
 
-void rule_no_alloc_hot(FileCheck& c) {
-  if (!in_dir(c.rel, "src")) return;
-  const auto& toks = c.ts.tokens();
-
-  // Body extents of functions annotated TSCE_HOT (src/util/hot.hpp): from
-  // the annotation, skip the signature (matched parameter parens, trailing
-  // const/noexcept/-> Type), then take the matched brace block.  A trailing
-  // ';' before '{' means declaration-only — nothing to check.
-  struct Extent {
-    std::size_t begin, end;
-  };
-  std::vector<Extent> hot;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (!toks[i].ident("TSCE_HOT")) continue;
-    std::size_t k = c.ts.next_code(i);
-    std::size_t open = toks.size();
-    while (k < toks.size()) {
-      const Token& t = c.ts.at(k);
-      if (t.punct("(")) {
-        open = k;
-        break;
-      }
-      if (t.punct(";") || t.punct("{") || t.kind == TK::kEof) break;
-      k = c.ts.next_code(k);
-    }
-    if (open >= toks.size()) continue;
-    k = c.ts.next_code(c.ts.match_forward(open));
-    while (k < toks.size()) {
-      const Token& t = c.ts.at(k);
-      if (t.punct("{")) {
-        hot.push_back({k, c.ts.match_forward(k)});
-        break;
-      }
-      if (t.punct(";") || t.kind == TK::kEof) break;
-      // noexcept(...) and trailing-return template args have their own
-      // brackets; jump over them instead of mistaking one for the body.
-      if (t.punct("(") || t.punct("<")) {
-        k = c.ts.next_code(c.ts.match_forward(k));
-        continue;
-      }
-      k = c.ts.next_code(k);
-    }
-  }
-  if (hot.empty()) return;
-  const auto in_hot = [&](std::size_t idx) {
-    return std::any_of(hot.begin(), hot.end(), [&](const Extent& e) {
-      return idx > e.begin && idx < e.end;
-    });
-  };
-  // A same-file reserve on the receiver sizes the buffer up front (the
-  // scratch-in-ctor pattern), making steady-state growth allocation-free.
-  const auto reserved_somewhere = [&](const std::string& receiver) {
-    return std::any_of(c.fs.calls.begin(), c.fs.calls.end(),
-                       [&](const Call& call) {
-                         return call.name == "reserve" &&
-                                call.receiver == receiver;
-                       });
-  };
-
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (!in_hot(i)) continue;
-    if (toks[i].ident("new")) {
-      // `operator new` overloads define allocation, they don't perform it.
-      if (c.ts.at(c.ts.prev_code(i)).ident("operator")) continue;
-      c.report(toks[i].line, "no-alloc-hot",
-               "new-expression in a TSCE_HOT function; allocate in the "
-               "constructor or an arena and reuse the buffer");
-    }
-    if (toks[i].ident("make_unique") || toks[i].ident("make_shared")) {
-      // Token-level match because the scope parser's call table only records
-      // `name(` — an explicit template argument list (`make_unique<T>(...)`,
-      // the common spelling) hides the '(' from it.
-      std::size_t k = c.ts.next_code(i);
-      if (k < toks.size() && c.ts.at(k).punct("<")) {
-        k = c.ts.next_code(c.ts.match_forward(k));
-      }
-      if (k < toks.size() && c.ts.at(k).punct("(")) {
-        c.report(toks[i].line, "no-alloc-hot",
-                 "'" + toks[i].text +
-                     "' in a TSCE_HOT function; hoist the allocation out of "
-                     "the per-candidate path");
-      }
-    }
-  }
-  for (const Call& call : c.fs.calls) {
-    if (!in_hot(call.name_idx)) continue;
-    if ((call.name == "push_back" || call.name == "emplace_back") &&
-        !call.receiver.empty() && !reserved_somewhere(call.receiver)) {
-      c.report(toks[call.name_idx].line, "no-alloc-hot",
-               "'" + call.receiver + "." + call.name +
-                   "' in a TSCE_HOT function without a reserve() on '" +
-                   call.receiver +
-                   "' in this file; size the buffer up front");
-    }
-  }
-}
-
 /// The per-file rule table, in registry order — table-driven so the project
 /// pass can attribute wall-time to each rule for --stats.
 struct FileRule {
@@ -760,7 +577,7 @@ struct FileRule {
   void (*run)(FileCheck&);
 };
 
-constexpr std::array<FileRule, 10> kFileRules = {{
+constexpr std::array<FileRule, 8> kFileRules = {{
     {"deterministic-rng", rule_deterministic_rng},
     {"invalid-id-sentinel", rule_invalid_id_sentinel},
     {"no-iostream-hot", rule_no_iostream_hot},
@@ -768,9 +585,7 @@ constexpr std::array<FileRule, 10> kFileRules = {{
     {"pragma-once", rule_pragma_once},
     {"nondeterministic-iteration", rule_nondeterministic_iteration},
     {"float-fitness-equality", rule_float_fitness_equality},
-    {"lock-across-callback", rule_lock_across_callback},
     {"rng-shared-capture", rule_rng_shared_capture},
-    {"no-alloc-hot", rule_no_alloc_hot},
 }};
 
 double millis_since(std::chrono::steady_clock::time_point t0) {
@@ -882,7 +697,7 @@ std::string fingerprint_of(const Finding& f, std::string_view source) {
 
 }  // namespace
 
-const std::array<RuleInfo, 19>& rule_registry() noexcept { return kRegistry; }
+const std::array<RuleInfo, 11>& rule_registry() noexcept { return kRegistry; }
 
 ProjectResult analyze_project(const std::vector<FileInput>& files,
                               const std::vector<std::string>& registered_names,
@@ -921,25 +736,16 @@ ProjectResult analyze_project(const std::vector<FileInput>& files,
   for (std::size_t i = 0; i < units.size(); ++i) {
     by_rel.emplace(units[i].rel, i);
   }
-  // Interprocedural and concurrency findings flow through the same
-  // per-file suppression lists as the local rules.
-  const auto route = [&](std::vector<Finding> raw) {
-    for (Finding& f : raw) {
-      const auto it = by_rel.find(f.file);
-      if (it != by_rel.end() &&
-          absorb(suppressions[it->second], f.rule, f.line)) {
-        continue;
-      }
-      result.findings.push_back(std::move(f));
+  // Interprocedural findings flow through the same per-file suppression
+  // lists as the local rules.
+  for (Finding& f : run_interprocedural_rules(units, graph, &result.stats)) {
+    const auto it = by_rel.find(f.file);
+    if (it != by_rel.end() &&
+        absorb(suppressions[it->second], f.rule, f.line)) {
+      continue;
     }
-  };
-  route(run_interprocedural_rules(units, graph, &result.stats));
-
-  t0 = std::chrono::steady_clock::now();
-  const AccessIndex access_index = build_access_index(units, graph);
-  result.stats.push_back({"(accesses)", millis_since(t0)});
-  route(run_concurrency_rules(units, graph, access_index, &result.stats));
-  result.guarded_by_report = guarded_by_report_json(units, access_index);
+    result.findings.push_back(std::move(f));
+  }
 
   t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < units.size(); ++i) {

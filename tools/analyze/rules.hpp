@@ -1,17 +1,15 @@
 /// \file rules.hpp
 /// Rule metadata and the analysis entry points for tsce_analyze.
 ///
-/// Nineteen rules: the five token rules inherited from the original regex-based
+/// Eleven rules: the five token rules inherited from the original regex-based
 /// tsce_lint (deterministic-rng, invalid-id-sentinel, no-iostream-hot,
-/// metric-name-registry, pragma-once), six semantics-aware per-file rules
+/// metric-name-registry, pragma-once), four semantics-aware per-file rules
 /// built on the scope parser (nondeterministic-iteration,
-/// float-fitness-equality, lock-across-callback, rng-shared-capture,
-/// no-alloc-hot, unused-suppression), four interprocedural rules written
-/// against the project call graph (transitive-hot-alloc, lock-order-cycle,
-/// rng-stream-escape, hot-path-virtual — see interp.hpp), and four
-/// concurrency dataflow rules written against the member-field access index
-/// and lockset dataflow (guarded-by-inconsistency, unguarded-shared-write,
-/// atomic-plain-mix, lock-scope-leak — see concurrency.hpp).
+/// float-fitness-equality, rng-shared-capture, unused-suppression), and two
+/// interprocedural rules written against the project call graph
+/// (transitive-hot-alloc, rng-stream-escape — see interp.hpp).  Each rule
+/// either prompted a real src/ fix or guards a bug class no other gate
+/// covers; DESIGN.md §11 keeps the ledger.  Lock discipline is left to TSan.
 ///
 /// Suppression: `// tsce-lint: allow(<rule>)` on the offending line, or on a
 /// comment-only line directly above it.  Every suppression must match a
@@ -45,11 +43,11 @@ struct RuleInfo {
 
 /// Registry of every rule id the analyzer can emit (drives SARIF
 /// tool.driver.rules and the unknown-suppression diagnostic).
-[[nodiscard]] const std::array<RuleInfo, 19>& rule_registry() noexcept;
+[[nodiscard]] const std::array<RuleInfo, 11>& rule_registry() noexcept;
 
 /// One row of the --stats wall-time table: milliseconds attributed to a rule,
-/// or to a parenthesized analysis phase ("(lex+parse)", "(callgraph)",
-/// "(accesses)") that is shared by several rules.
+/// or to a parenthesized analysis phase ("(lex+parse)", "(callgraph)") that
+/// is shared by several rules.
 struct RuleStat {
   std::string name;
   double millis = 0.0;
@@ -67,14 +65,11 @@ struct ProjectResult {
   /// Wall-time per rule (plus shared phases), in pipeline order — drives
   /// tsce_analyze --stats.  Always populated; the timers cost microseconds.
   std::vector<RuleStat> stats;
-  /// Guarded-by inference report (JSON): per field, the best-supported lock
-  /// and its confidence.  See concurrency.hpp.  Always populated.
-  std::string guarded_by_report;
 };
 
 /// Whole-program analysis: runs the per-file rules on every input, builds the
 /// project call graph over the graph-eligible trees (src/, bench/, tools/),
-/// runs the four interprocedural rules, and routes every finding through its
+/// runs the two interprocedural rules, and routes every finding through its
 /// file's suppression comments.  \p registered_names is the metric/trace name
 /// set of src/obs/names.hpp (see extract_registered_names); pass an empty
 /// vector to keep the strict literal ban everywhere.

@@ -48,19 +48,13 @@ FileStructure parse_structure(const TokenStream& ts) {
   const std::size_t n = toks.size();
 
   // --- brace scope stack: maps each declaration to its enclosing '}' -------
-  struct OpenScope {
-    std::vector<std::size_t> decl_indices;
-    std::vector<std::size_t> lock_indices;
-  };
-  std::vector<OpenScope> scope_stack;
+  // One entry per open '{': indices of the declarations it encloses.
+  std::vector<std::vector<std::size_t>> scope_stack;
 
   auto close_scope = [&](std::size_t close_idx) {
     if (scope_stack.empty()) return;
-    for (std::size_t di : scope_stack.back().decl_indices) {
+    for (std::size_t di : scope_stack.back()) {
       out.decls[di].scope_end = close_idx;
-    }
-    for (std::size_t li : scope_stack.back().lock_indices) {
-      out.locks[li].scope_end = close_idx;
     }
     scope_stack.pop_back();
   };
@@ -131,40 +125,9 @@ FileStructure parse_structure(const TokenStream& ts) {
       if (!type.empty()) type += ' ';
       type += *it;
     }
-    Decl d{name_tok.text, type, type_last, name_at, n - 1};
-    out.decls.push_back(d);
-    const std::size_t decl_index = out.decls.size() - 1;
+    out.decls.push_back({name_tok.text, type, type_last, name_at, n - 1});
     if (!scope_stack.empty()) {
-      scope_stack.back().decl_indices.push_back(decl_index);
-    }
-    if (type_last == "lock_guard" || type_last == "unique_lock" ||
-        type_last == "scoped_lock") {
-      LockScope lock{name_at, n - 1, name_tok.line, {}};
-      // Constructor arguments: each top-level argument's identifier chain,
-      // member accesses joined with '.' (`impl_->mu` records as "impl_.mu").
-      const std::size_t open = name_at + 1 < n ? name_at + 1 : name_at;
-      if (toks[open].punct("(")) {
-        const std::size_t close = ts.match_forward(open);
-        std::string chain;
-        for (std::size_t j = open + 1; j < close && j < n; ++j) {
-          const Token& a = toks[j];
-          if (a.kind == TK::kIdentifier) {
-            chain += a.text;
-          } else if (a.punct(".") || a.punct("->")) {
-            chain += '.';
-          } else if (a.punct(",")) {
-            if (!chain.empty()) lock.mutexes.push_back(chain);
-            chain.clear();
-          }
-          // std::adopt_lock and friends would be recorded as chains too;
-          // harmless — rule code only compares chains against each other.
-        }
-        if (!chain.empty()) lock.mutexes.push_back(chain);
-      }
-      out.locks.push_back(std::move(lock));
-      if (!scope_stack.empty()) {
-        scope_stack.back().lock_indices.push_back(out.locks.size() - 1);
-      }
+      scope_stack.back().push_back(out.decls.size() - 1);
     }
     return true;
   };
@@ -354,24 +317,6 @@ FileStructure parse_structure(const TokenStream& ts) {
   }
 
   while (!scope_stack.empty()) close_scope(n - 1);
-
-  // Early release: `<guard>.unlock()` / `<guard>.release()` ends the held
-  // extent at the call site, so rules do not treat code after a deliberate
-  // drop (the worker-loop pattern: dequeue under lock, run unlocked) as
-  // lock-covered.  unique_lock can relock afterwards; the truncation is
-  // deliberately conservative in the rules' favor (shorter extent = fewer
-  // findings, never a spurious one).
-  for (LockScope& lock : out.locks) {
-    const std::string& guard_name = toks[lock.decl_idx].text;
-    for (const Call& call : out.calls) {
-      if ((call.name == "unlock" || call.name == "release") &&
-          call.receiver == guard_name && call.name_idx > lock.decl_idx &&
-          call.name_idx < lock.scope_end) {
-        lock.scope_end = call.name_idx;
-        break;  // calls are in token order; the first drop wins
-      }
-    }
-  }
   return out;
 }
 

@@ -4,10 +4,10 @@
 /// This is deliberately not a C++ parser: it recovers just the structure the
 /// determinism rules need — variable declarations with their (textual) types
 /// and enclosing-scope extents, range-for statements, lambda expressions with
-/// parsed capture lists, call expressions with their receiver chain, and
-/// RAII lock guard scopes.  Heuristic by design: it must degrade to "no
-/// structure found" (never a crash or a spurious parse) on code it does not
-/// understand, because the analyzer runs over every TU in the repo.
+/// parsed capture lists, and call expressions with their receiver chain.
+/// Heuristic by design: it must degrade to "no structure found" (never a
+/// crash or a spurious parse) on code it does not understand, because the
+/// analyzer runs over every TU in the repo.
 
 #pragma once
 
@@ -63,25 +63,11 @@ struct Call {
   std::size_t close_idx = 0;  ///< matching ')'
 };
 
-/// A lock_guard / unique_lock / scoped_lock declaration and the extent of
-/// the scope it protects: declaration through the enclosing '}', or through
-/// the first `<guard>.unlock()` / `<guard>.release()` call when the code
-/// drops the lock early (the extent is what the analyzer treats as "held").
-/// `mutexes` records each constructor argument's spelled access chain
-/// (`mu`, `impl_.mu`, `g_impl.mu`) — scoped_lock may name several.
-struct LockScope {
-  std::size_t decl_idx = 0;
-  std::size_t scope_end = 0;
-  std::size_t line = 0;
-  std::vector<std::string> mutexes;
-};
-
 struct FileStructure {
   std::vector<Decl> decls;
   std::vector<RangeFor> range_fors;
   std::vector<Lambda> lambdas;
   std::vector<Call> calls;
-  std::vector<LockScope> locks;
 
   /// Declared type discriminator for \p name, searching declarations whose
   /// scope covers token \p at (innermost wins); empty when unknown.

@@ -1,19 +1,18 @@
 /// \file tsce_analyze.cpp
-/// AST-grade determinism & concurrency analyzer for the tsce codebase —
-/// the successor to the regex-based tsce_lint.  A real C++ lexer plus a
-/// lightweight declaration/scope parser (analyze/lexer.hpp, analyze/
-/// scopes.hpp; deliberately no libclang so the tool builds and runs anywhere
-/// the code does, in milliseconds) drives fifteen rule visitors: the five
-/// inherited token rules, six semantics-aware per-file rules, and four
-/// interprocedural rules over a project-wide call graph (analyze/
-/// callgraph.hpp).  See analyze/rules.cpp for the rule catalog and DESIGN.md
-/// §11 for the architecture.
+/// Determinism and hot-path analyzer for the tsce codebase — the successor
+/// to the regex-based tsce_lint.  A real C++ lexer plus a lightweight
+/// declaration/scope parser (analyze/lexer.hpp, analyze/scopes.hpp;
+/// deliberately no libclang so the tool builds and runs anywhere the code
+/// does, in milliseconds) drives eleven rule visitors: the five inherited
+/// token rules, four semantics-aware per-file rules, and two interprocedural
+/// rules over a project-wide call graph (analyze/callgraph.hpp).  See
+/// analyze/rules.cpp for the rule catalog and DESIGN.md §11 for the
+/// architecture and the catch ledger that justifies each rule.
 ///
 /// Usage:
 ///   tsce_analyze [--root <repo-root>] [--sarif <out.sarif>]
 ///                [--baseline <old.sarif>] [--changed-only [<git-ref>]]
-///                [--callgraph-dot <out.dot>] [--guarded-by-report <out.json>]
-///                [--stats [--csv]]
+///                [--callgraph-dot <out.dot>] [--stats [--csv]]
 ///   tsce_analyze --file <path> [--as <repo-relative-path>] [--sarif <out>]
 ///
 /// The default mode walks src/, tools/, bench/, examples/, and tests/
@@ -30,9 +29,8 @@
 /// still built project-wide so interprocedural findings stay sound.  A failed
 /// `git diff` is a hard error (exit 2) — a silent empty scope would let a bad
 /// ref pass CI.  --callgraph-dot writes the resolved call graph in Graphviz
-/// DOT form.  --guarded-by-report writes the per-field inferred-lock report
-/// (JSON) the concurrency tier computed.  --stats prints a per-rule finding
-/// count and wall-time table to stdout (--csv for a machine-readable form).
+/// DOT form.  --stats prints a per-rule finding count and wall-time table to
+/// stdout (--csv for a machine-readable form).
 ///
 /// Findings print to stderr in file:line: [rule] message form; with --sarif a
 /// SARIF 2.1.0 document is also written.  Exit: 0 clean (or no new findings
@@ -73,8 +71,7 @@ int usage(int code) {
   std::printf(
       "usage: tsce_analyze [--root <repo-root>] [--sarif <out.sarif>]\n"
       "                    [--baseline <old.sarif>] [--changed-only [<ref>]]\n"
-      "                    [--callgraph-dot <out.dot>]\n"
-      "                    [--guarded-by-report <out.json>] [--stats [--csv]]\n"
+      "                    [--callgraph-dot <out.dot>] [--stats [--csv]]\n"
       "       tsce_analyze --file <path> [--as <rel-path>] [--names <hpp>]\n"
       "                    [--sarif <out>]\n"
       "\n--names points at a metric-name registry header (default: the\n"
@@ -84,8 +81,7 @@ int usage(int code) {
       "--baseline exits 1 only on findings absent from the given SARIF\n"
       "document (rule+file+fingerprint match).  --changed-only reports only\n"
       "files changed vs. a git ref (default HEAD) or untracked; a failed git\n"
-      "diff is a hard error, not an empty scope.  --guarded-by-report writes\n"
-      "the per-field inferred-lock JSON report.  --stats prints per-rule\n"
+      "diff is a hard error, not an empty scope.  --stats prints per-rule\n"
       "finding counts and wall times (--csv: rule,findings,millis rows).\n"
       "\nrules:\n");
   for (const tsce::analyze::RuleInfo& r : tsce::analyze::rule_registry()) {
@@ -174,7 +170,6 @@ int main(int argc, char** argv) {
   std::string names_path;
   std::string baseline_path;
   std::string dot_path;
-  std::string guarded_by_path;
   bool want_stats = false;
   bool stats_csv = false;
   bool changed_only = false;
@@ -195,8 +190,6 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     } else if (arg == "--callgraph-dot" && i + 1 < argc) {
       dot_path = argv[++i];
-    } else if (arg == "--guarded-by-report" && i + 1 < argc) {
-      guarded_by_path = argv[++i];
     } else if (arg == "--stats") {
       want_stats = true;
     } else if (arg == "--csv") {
@@ -329,16 +322,6 @@ int main(int argc, char** argv) {
     }
     out << result.callgraph_dot;
   }
-  if (!guarded_by_path.empty()) {
-    std::ofstream out(guarded_by_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "tsce_analyze: cannot write '%s'\n",
-                   guarded_by_path.c_str());
-      return 2;
-    }
-    out << result.guarded_by_report << '\n';
-  }
-
   if (want_stats) {
     // Finding counts per rule (parenthesized phase rows stay at zero — no
     // finding carries a phase name as its rule).
