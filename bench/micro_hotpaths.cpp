@@ -16,6 +16,7 @@
 #include "core/evaluator.hpp"
 #include "core/imr.hpp"
 #include "core/local_search.hpp"
+#include "core/psg.hpp"
 #include "lp/upper_bound.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -205,6 +206,45 @@ void BM_AnnealTempering(benchmark::State& state) {
 }
 BENCHMARK(BM_AnnealTempering)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+/// Registry counter total (0 before the first fold of that counter).
+double registry_count(std::string_view name) {
+  const util::Json snapshot = obs::MetricsRegistry::instance().snapshot();
+  const util::Json& counters = snapshot.at("counters");
+  return counters.contains(name) ? counters.at(name).as_number() : 0.0;
+}
+
+/// One fixed-budget PSG trial on an s1_loaded-shaped instance (M=6, Q=75,
+/// scenario 1; GENITOR 250 / bias 1.6 / 1000 iterations, stagnation limit =
+/// budget).  memo_hit_frac is the share of evaluations the decisive-prefix
+/// memo answered without decoding (decode.memo_hits over hits + decodes).
+void BM_GenitorFixedBudget(benchmark::State& state) {
+  const auto m = make_instance(6, 75);
+  core::PsgOptions options;
+  options.ga.population_size = 250;
+  options.ga.bias = 1.6;
+  options.ga.max_iterations = 1000;
+  options.ga.stagnation_limit = 1000;
+  options.trials = 1;
+  const core::Psg psg(options);
+  const double hits0 = registry_count(obs::names::kDecodeMemoHits);
+  const double calls0 = registry_count(obs::names::kDecodeCalls);
+  std::size_t evaluations = 0;
+  int worth = 0;
+  for (auto _ : state) {
+    util::Rng rng(2005);
+    const auto result = psg.allocate(m, rng);
+    evaluations += result.evaluations;
+    worth = result.fitness.total_worth;
+    benchmark::DoNotOptimize(result.fitness);
+  }
+  const double hits = registry_count(obs::names::kDecodeMemoHits) - hits0;
+  const double calls = registry_count(obs::names::kDecodeCalls) - calls0;
+  state.SetItemsProcessed(static_cast<std::int64_t>(evaluations));
+  state.counters["worth"] = static_cast<double>(worth);
+  state.counters["memo_hit_frac"] = hits + calls > 0 ? hits / (hits + calls) : 0.0;
+}
+BENCHMARK(BM_GenitorFixedBudget)->Unit(benchmark::kMillisecond);
 
 /// Thread churn with no metrics activity: the baseline spawn/join cost that
 /// BM_ThreadChurnShardRetirement is compared against.

@@ -38,7 +38,7 @@ class ClassOrderProblem {
   [[nodiscard]] Fitness evaluate(const Chromosome& order) const {
     full_.assign(base_->begin(), base_->end());
     full_.insert(full_.end(), order.begin(), order.end());
-    return decode_order_into(evaluator_.context(0), full_).fitness;
+    return decode_fitness_into(evaluator_.context(0), full_);
   }
 
   [[nodiscard]] std::vector<Fitness> evaluate_batch(
@@ -53,24 +53,13 @@ class ClassOrderProblem {
     return evaluator_.evaluate_fitness(full_orders);
   }
 
-  [[nodiscard]] std::pair<Chromosome, Chromosome> crossover(const Chromosome& a,
-                                                            const Chromosome& b,
-                                                            util::Rng& rng) const {
-    if (a.size() < 2) return {a, b};
-    const auto cut = static_cast<std::size_t>(
-        rng.uniform_int(1, static_cast<std::int64_t>(a.size()) - 1));
-    return {PermutationProblem::reorder_top(a, b, cut),
-            PermutationProblem::reorder_top(b, a, cut)};
+  [[nodiscard]] static std::pair<Chromosome, Chromosome> crossover(
+      const Chromosome& a, const Chromosome& b, util::Rng& rng) {
+    return PermutationProblem::crossover(a, b, rng);
   }
 
-  [[nodiscard]] Chromosome mutate(const Chromosome& c, util::Rng& rng) const {
-    Chromosome child = c;
-    if (child.size() < 2) return child;
-    const std::size_t i = rng.bounded(child.size());
-    std::size_t j = rng.bounded(child.size());
-    while (j == i) j = rng.bounded(child.size());
-    std::swap(child[i], child[j]);
-    return child;
+  [[nodiscard]] static Chromosome mutate(const Chromosome& c, util::Rng& rng) {
+    return PermutationProblem::mutate(c, rng);
   }
 
   [[nodiscard]] Chromosome random_chromosome(util::Rng& rng) const {

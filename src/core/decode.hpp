@@ -16,10 +16,17 @@
 /// from-scratch decode of the shared prefix (the session's flat layout makes
 /// the snapshot a byte image), so incremental results equal full re-decodes
 /// exactly.
+///
+/// Searches that need only the fitness go one step further: a decode stops at
+/// the first string that fails, so its result depends only on the *decisive
+/// prefix* (the order up to and including that string, or the whole order
+/// when every string deploys).  decode_fitness_into remembers the fitness of
+/// recently decoded decisive prefixes and answers a repeat without decoding.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -113,16 +120,43 @@ class DecodeContext {
 
   /// Lifetime counters (for benchmarks and engine introspection).  Thin
   /// shims over the context-local tallies that back the registry metrics;
-  /// process-wide totals live in obs::MetricsRegistry.
+  /// process-wide totals live in obs::MetricsRegistry.  decodes() counts
+  /// real decodes only; memo_hits() counts decode_fitness_into calls the
+  /// decisive-prefix memo answered.
   [[nodiscard]] std::size_t decodes() const noexcept { return decodes_; }
   [[nodiscard]] std::size_t commits_attempted() const noexcept {
     return commits_attempted_;
   }
   [[nodiscard]] std::size_t strings_reused() const noexcept { return reused_; }
+  [[nodiscard]] std::size_t memo_hits() const noexcept { return memo_hits_; }
+
+  /// Decisive-prefix memo capacity: table slots (a power of two; the memo is
+  /// cleared when half of them are in use) and stored string ids.  Sized on
+  /// the first decode_fitness_into call; about 384 KiB per context.
+  static constexpr std::size_t kMemoSlots = 4096;
+  static constexpr std::size_t kMemoIds = std::size_t{64} * 1024;
 
  private:
   friend DecodeOutcome decode_order_into(DecodeContext& ctx,
                                          std::span<const model::StringId> order);
+  friend analysis::Fitness decode_fitness_into(
+      DecodeContext& ctx, std::span<const model::StringId> order);
+
+  /// One memoised decisive prefix: memo_ids_[offset, offset + length) and
+  /// the fitness its decode produced.  A complete entry (every string
+  /// deployed) stands only for an order of exactly its length.
+  struct MemoEntry {
+    double slackness;
+    std::int32_t worth;
+    std::uint32_t offset;
+    std::uint32_t length;
+    bool complete;
+  };
+  [[nodiscard]] const MemoEntry* memo_find(
+      std::span<const model::StringId> order) const noexcept;
+  void memo_insert(std::span<const model::StringId> prefix, bool complete,
+                   const analysis::Fitness& fitness);
+  void memo_clear() noexcept;
 
   analysis::AllocationSession session_;
   std::vector<model::StringId> committed_;
@@ -134,6 +168,19 @@ class DecodeContext {
   std::size_t decodes_ = 0;
   std::size_t commits_attempted_ = 0;
   std::size_t reused_ = 0;
+  std::size_t memo_hits_ = 0;
+
+  /// Open-addressed table of prefix keys (0 = empty slot), with the entry
+  /// for each key in the parallel memo_entries_ slot.
+  std::vector<std::uint64_t> memo_keys_;
+  std::vector<MemoEntry> memo_entries_;
+  /// Flat arena holding every stored prefix's string ids.
+  std::vector<model::StringId> memo_ids_;
+  /// memo_lengths_[n] != 0 when an entry of length n is stored, so a lookup
+  /// probes only lengths that can match.
+  std::vector<std::uint8_t> memo_lengths_;
+  std::size_t memo_entries_used_ = 0;
+  std::size_t memo_ids_used_ = 0;
 };
 
 /// Decodes \p order into \p ctx, reusing the longest common prefix with the
@@ -141,6 +188,17 @@ class DecodeContext {
 /// The result is bit-identical to decode_order on a fresh session.
 DecodeOutcome decode_order_into(DecodeContext& ctx,
                                 std::span<const model::StringId> order);
+
+/// Fitness of decode_order_into(ctx, order), answered from the context's
+/// decisive-prefix memo when an earlier call decoded the same decisive prefix.
+/// A hit touches neither the session nor the commit stack; a miss decodes
+/// and records the decisive prefix.  The memo is exact (stored prefixes are
+/// compared element by element), so the result is bit-identical to
+/// decode_order on a fresh session whatever the context decoded before.
+/// For callers that read only the fitness; anything that reads the
+/// allocation or the DecodeOutcome calls decode_order_into.
+analysis::Fitness decode_fitness_into(DecodeContext& ctx,
+                                      std::span<const model::StringId> order);
 
 /// Decodes \p order (a permutation of string ids, possibly a prefix) on a
 /// fresh session.  Thin wrapper over DecodeContext; search loops should hold

@@ -32,7 +32,7 @@ std::vector<analysis::Fitness> BatchEvaluator::evaluate_fitness(
     std::span<const std::vector<model::StringId>> orders) {
   std::vector<analysis::Fitness> fitness(orders.size());
   for_each(orders.size(), [&](std::size_t i, DecodeContext& ctx) {
-    fitness[i] = decode_order_into(ctx, orders[i]).fitness;
+    fitness[i] = decode_fitness_into(ctx, orders[i]);
   });
   return fitness;
 }

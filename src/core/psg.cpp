@@ -14,7 +14,12 @@ using model::StringId;
 using model::SystemModel;
 
 analysis::Fitness PermutationProblem::evaluate(const Chromosome& order) const {
-  return decode_order_into(evaluator_.context(0), order).fitness;
+  return decode_fitness_into(evaluator_.context(0), order);
+}
+
+DecodeResult PermutationProblem::decode(const Chromosome& order) const {
+  DecodeContext& ctx = evaluator_.context(0);
+  return ctx.materialize(decode_order_into(ctx, order));
 }
 
 std::vector<analysis::Fitness> PermutationProblem::evaluate_batch(
@@ -45,7 +50,7 @@ PermutationProblem::Chromosome PermutationProblem::reorder_top(
 
 std::pair<PermutationProblem::Chromosome, PermutationProblem::Chromosome>
 PermutationProblem::crossover(const Chromosome& a, const Chromosome& b,
-                              util::Rng& rng) const {
+                              util::Rng& rng) {
   const std::size_t q = a.size();
   if (q < 2) return {a, b};
   // Cut point in [1, q-1]: both parts non-empty.
@@ -54,7 +59,7 @@ PermutationProblem::crossover(const Chromosome& a, const Chromosome& b,
 }
 
 PermutationProblem::Chromosome PermutationProblem::mutate(const Chromosome& c,
-                                                          util::Rng& rng) const {
+                                                          util::Rng& rng) {
   Chromosome child = c;
   const std::size_t q = child.size();
   if (q < 2) return child;
@@ -101,7 +106,7 @@ AllocatorResult Psg::allocate(const SystemModel& model, util::Rng& rng) const {
     span.add("evaluations", static_cast<double>(ga_result.evaluations));
     span.add("best_worth", static_cast<double>(ga_result.best_fitness.total_worth));
     if (!have_best || best.fitness < ga_result.best_fitness) {
-      DecodeResult decoded = decode_order(model, ga_result.best);
+      DecodeResult decoded = problem.decode(ga_result.best);
       best.allocation = std::move(decoded.allocation);
       best.fitness = decoded.fitness;
       best.order = std::move(ga_result.best);

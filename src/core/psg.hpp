@@ -37,8 +37,10 @@ struct PsgOptions {
 
 /// GENITOR problem adapter for the permutation space.  Owns the evaluation
 /// engine: every evaluate() goes through a long-lived DecodeContext (prefix
-/// reuse, no per-candidate allocation), and evaluate_batch() fans initial
-/// populations out across the BatchEvaluator's workers.
+/// reuse and the decisive-prefix memo, no per-candidate allocation), and
+/// evaluate_batch() fans initial populations out across the BatchEvaluator's
+/// workers.  The operators are static: they depend only on the chromosomes
+/// and the rng, so other permutation problems share them.
 class PermutationProblem {
  public:
   using Chromosome = std::vector<model::StringId>;
@@ -51,10 +53,14 @@ class PermutationProblem {
   [[nodiscard]] Fitness evaluate(const Chromosome& order) const;
   [[nodiscard]] std::vector<Fitness> evaluate_batch(
       std::span<const Chromosome> batch) const;
-  [[nodiscard]] std::pair<Chromosome, Chromosome> crossover(const Chromosome& a,
-                                                            const Chromosome& b,
-                                                            util::Rng& rng) const;
-  [[nodiscard]] Chromosome mutate(const Chromosome& c, util::Rng& rng) const;
+  /// Full decode of \p order (allocation included) on worker 0's context;
+  /// bit-identical to decode_order.
+  [[nodiscard]] DecodeResult decode(const Chromosome& order) const;
+  /// Top-part crossover at a random cut point in [1, size-1].
+  [[nodiscard]] static std::pair<Chromosome, Chromosome> crossover(
+      const Chromosome& a, const Chromosome& b, util::Rng& rng);
+  /// Swaps two distinct, randomly chosen positions.
+  [[nodiscard]] static Chromosome mutate(const Chromosome& c, util::Rng& rng);
   [[nodiscard]] Chromosome random_chromosome(util::Rng& rng) const;
 
   /// Reorders the first \p cut entries of \p receiver so they appear in the

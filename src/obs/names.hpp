@@ -23,6 +23,9 @@ inline constexpr std::string_view kDecodeCalls = "decode.calls";
 inline constexpr std::string_view kDecodeCommitsAttempted = "decode.commits_attempted";
 inline constexpr std::string_view kDecodeStringsReused = "decode.strings_reused";
 inline constexpr std::string_view kDecodePrefixReuseLen = "decode.prefix_reuse_len";
+/// decode_fitness_into calls answered by the decisive-prefix memo (no decode;
+/// decode.calls counts real decodes only).
+inline constexpr std::string_view kDecodeMemoHits = "decode.memo_hits";
 
 // --- hot-path latency histograms (HDR, nanoseconds) -------------------------
 // Wall-clock distributions; excluded from cross-thread-count byte-identity

@@ -110,5 +110,52 @@ TEST(NoAllocDecode, SteadyStateCandidateStreamIsAllocationFree) {
       << during << " heap allocations on the steady-state decode path";
 }
 
+/// The candidate stream of run_candidate_stream, each candidate evaluated
+/// twice through decode_fitness_into: a miss that decodes and records the
+/// decisive prefix, then a hit (a candidate whose decisive prefix an earlier
+/// one already recorded hits both times).
+void run_fitness_stream(DecodeContext& ctx, std::vector<StringId>& order,
+                        int candidates) {
+  const std::size_t q = order.size();
+  util::Rng rng(17);
+  for (int c = 0; c < candidates; ++c) {
+    const std::size_t i = rng.bounded(q);
+    std::size_t j = rng.bounded(q);
+    while (j == i) j = rng.bounded(q);
+    std::swap(order[i], order[j]);
+    (void)decode_fitness_into(ctx, order);
+    (void)decode_fitness_into(ctx, order);
+    std::swap(order[i], order[j]);
+  }
+}
+
+TEST(NoAllocDecode, SteadyStateMemoStreamIsAllocationFree) {
+  const auto cfg = workload::GeneratorConfig::for_scenario(
+      workload::Scenario::kHighlyLoaded, 0.4);
+  util::Rng model_rng(99);
+  const SystemModel m = workload::generate(cfg, model_rng);
+  auto order = identity_order(m);
+  util::Rng shuffle_rng(5);
+  shuffle_rng.shuffle(order);
+
+  DecodeContext ctx(m);
+  // Warm: size the memo with one call, and every decode buffer with the
+  // stream itself, without recording the stream in the memo.
+  (void)decode_fitness_into(ctx, order);
+  run_candidate_stream(ctx, order, 200);
+
+  const std::size_t decodes = ctx.decodes();
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  run_fitness_stream(ctx, order, 200);
+  const std::size_t during =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(during, 0u)
+      << during << " heap allocations on the steady-state memo path";
+  const std::size_t misses = ctx.decodes() - decodes;
+  EXPECT_GT(misses, 100u);
+  EXPECT_GE(ctx.memo_hits(), 200u);
+  EXPECT_EQ(misses + ctx.memo_hits(), 400u);
+}
+
 }  // namespace
 }  // namespace tsce::core
