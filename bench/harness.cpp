@@ -7,7 +7,6 @@
 #include "core/baselines.hpp"
 #include "core/ordered.hpp"
 #include "obs/exporter.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
@@ -54,12 +53,9 @@ void ScenarioBenchConfig::register_flags(util::Flags& flags) {
             "sample the metrics registry into a JSONL time series at this path");
   flags.add("metrics-period-ms", &metrics_period_ms,
             "sampling period for --metrics-series");
-  flags.add("fr-dump", &fr_dump_path,
-            "flight-recorder JSONL dump path (anomaly/SIGUSR1-triggered, else "
-            "end of run)");
   flags.add("fr-decode-watermark-ns", &fr_decode_watermark_ns,
-            "decode latency (ns) above which the flight recorder auto-dumps "
-            "(0 = off)");
+            "decode latency (ns) above which the recorder rings are written "
+            "into the --trace file (0 = off)");
 }
 
 void ScenarioBenchConfig::apply_full_scale(workload::Scenario s) {
@@ -113,21 +109,17 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
   bool tracing = false;
   if (!config.trace_path.empty()) {
     tracing = obs::trace_open(config.trace_path, config.run_info());
-    if (!tracing) {
+    if (tracing) {
+      obs::trace_install_signal_trigger();
+    } else {
       std::fprintf(stderr, "warning: could not open trace '%s'\n",
                    config.trace_path.c_str());
     }
   }
   if (!config.metrics_path.empty()) util::ThreadPool::set_timing(true);
-
-  if (!config.fr_dump_path.empty() || config.fr_decode_watermark_ns > 0) {
-    obs::FlightRecorderConfig fr;
-    fr.decode_latency_watermark_ns =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            0, config.fr_decode_watermark_ns));
-    fr.auto_dump_path = config.fr_dump_path;
-    obs::flight_recorder_configure(fr);
-    obs::flight_recorder_install_signal_trigger();
+  if (config.fr_decode_watermark_ns > 0) {
+    obs::fr_set_decode_watermark_ns(
+        static_cast<std::uint64_t>(config.fr_decode_watermark_ns));
   }
 
   std::unique_ptr<obs::MetricsExporter> exporter;
@@ -254,14 +246,6 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
   // every thread buffer is quiescent here.
   if (tracing) obs::trace_close();
   if (exporter != nullptr) exporter->stop();
-  if (!config.fr_dump_path.empty()) {
-    // A triggered dump (anomaly or SIGUSR1) already captured the interesting
-    // window; otherwise persist the final ring contents.
-    obs::flight_recorder_poll();
-    if (obs::flight_recorder_dump_count() == 0) {
-      obs::flight_recorder_dump(config.fr_dump_path);
-    }
-  }
   if (!config.metrics_path.empty()) {
     util::Json doc = util::Json::object();
     doc.set("run_info", config.run_info().to_json());

@@ -50,10 +50,10 @@ struct ScenarioBenchConfig {
   /// wall-clock column varies.
   std::int64_t threads = 1;
   /// Telemetry sinks (empty = off).  --trace streams span/event JSONL through
-  /// obs::trace_open (no-op when the tracer is compiled out); --metrics dumps
-  /// the obs::MetricsRegistry snapshot as JSON after the runs; --json writes
-  /// the per-heuristic result series as JSON.  All three carry the RunInfo
-  /// provenance block.
+  /// obs::trace_open, with the recorder rings' fr.* events written into the
+  /// same file; --metrics dumps the obs::MetricsRegistry snapshot as JSON
+  /// after the runs; --json writes the per-heuristic result series as JSON.
+  /// All three carry the RunInfo provenance block.
   std::string trace_path;
   std::string metrics_path;
   std::string json_path;
@@ -62,10 +62,8 @@ struct ScenarioBenchConfig {
   /// --metrics-series consumption.
   std::string metrics_series_path;
   std::int64_t metrics_period_ms = 250;
-  /// --fr-dump: flight-recorder JSONL dump path.  Written by an anomaly or
-  /// SIGUSR1 trigger during the run, or (if no trigger fired) once at the end
-  /// of the run.  --fr-decode-watermark-ns arms the slow-decode anomaly.
-  std::string fr_dump_path;
+  /// --fr-decode-watermark-ns arms the slow-decode anomaly: the first decode
+  /// slower than this writes every thread's ring into the --trace file.
   std::int64_t fr_decode_watermark_ns = 0;
 
   /// Registers the shared flags on \p flags (pointers into this object).

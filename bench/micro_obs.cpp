@@ -1,8 +1,8 @@
 /// \file micro_obs.cpp
 /// Microbenchmarks of the always-on observability layer itself: HDR histogram
-/// record/snapshot, flight-recorder events, the cycle-counter clock, and the
+/// record/snapshot, recorder ring events, the cycle-counter clock, and the
 /// end-to-end per-sample overhead the hot paths pay (clock read + histogram
-/// record + recorder event).  CI runs BM_ObsOverhead* / BM_HdrRecord as a
+/// record + ring event).  CI runs BM_ObsOverhead* / BM_HdrRecord as a
 /// release-leg smoke so a regression in the instrumentation cost itself is
 /// caught, not just regressions in the instrumented code.
 
@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "obs/clock.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -88,31 +88,31 @@ void BM_ObsOverheadRegistryHistogram(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsOverheadRegistryHistogram);
 
-/// One flight-recorder ring event (timestamp + five relaxed stores).
+/// One recorder ring event (timestamp + five stores).
 void BM_ObsOverheadRecorderEvent(benchmark::State& state) {
-  obs::flight_recorder_record(obs::FrKind::kMark, 0, 0, 0);  // warm the ring
+  obs::fr_record(obs::FrKind::kMark, 0, 0, 0);  // warm the ring
   std::uint64_t n = 0;
   for (auto _ : state) {
-    obs::flight_recorder_record(obs::FrKind::kMark, n++, 2, 3);
+    obs::fr_record(obs::FrKind::kMark, n++, 2, 3);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ObsOverheadRecorderEvent);
 
 /// The combined tax one instrumented decode pays: two clock reads, the
-/// ticks->ns conversion, a registry histogram record, and a recorder event.
+/// ticks->ns conversion, a registry histogram record, and a ring event.
 void BM_ObsOverheadDecodeSample(benchmark::State& state) {
   auto& hist =
       obs::MetricsRegistry::instance().histogram(obs::names::kBenchMicroHdr);
   hist.record(1);
-  obs::flight_recorder_record(obs::FrKind::kMark, 0, 0, 0);
+  obs::fr_record(obs::FrKind::kMark, 0, 0, 0);
   (void)obs::ticks_per_ns();
   for (auto _ : state) {
     const std::uint64_t t0 = obs::clock_ticks();
     benchmark::DoNotOptimize(t0);
     const std::uint64_t ns = obs::ticks_to_ns(obs::clock_ticks() - t0);
     hist.record(ns);
-    obs::flight_recorder_note_decode(ns, 3, 5);
+    obs::fr_note_decode(ns, 3, 5);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -7,9 +7,9 @@
 #include "analysis/feasibility.hpp"
 #include "analysis/tightness.hpp"
 #include "obs/clock.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "obs/trace.hpp"
 #include "util/hot.hpp"
 
 namespace tsce::analysis {
@@ -46,7 +46,7 @@ struct SessionMetrics {
   }
 };
 
-/// FrKind::kCommitReject violation-class payload (0 = stage-one utilization).
+/// FrKind::kCommitReject violation-class payload.
 enum : std::uint64_t {
   kFrViolationUtilization = 1,
   kFrViolationThroughput = 2,
@@ -164,7 +164,7 @@ void AllocationSession::uncommit_all(std::span<const StringId> ks) {
 
   const std::uint64_t ns = obs::ticks_to_ns(obs::clock_ticks() - t0);
   metrics.uncommit_latency_ns.record(ns);
-  obs::flight_recorder_record(obs::FrKind::kUncommit, ns, ks.size());
+  obs::fr_record(obs::FrKind::kUncommit, ns, ks.size());
 }
 
 void AllocationSession::reset() {
@@ -242,13 +242,12 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
     }
     SessionMetrics::get().commit_latency_ns.record(
         obs::ticks_to_ns(obs::clock_ticks() - t0));
-    obs::flight_recorder_note_reject(static_cast<std::uint64_t>(k),
-                                     fr_violation);
+    obs::fr_record(obs::FrKind::kCommitReject, static_cast<std::uint64_t>(k),
+                   fr_violation);
     return false;
   }
   SessionMetrics::get().commit_latency_ns.record(
       obs::ticks_to_ns(obs::clock_ticks() - t0));
-  obs::flight_recorder_note_commit_ok();
   return true;
 }
 

@@ -6,9 +6,9 @@
 
 #include "core/imr.hpp"
 #include "obs/clock.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "obs/trace.hpp"
 #include "util/hot.hpp"
 
 namespace tsce::core {
@@ -149,11 +149,11 @@ TSCE_HOT DecodeOutcome decode_order_into(DecodeContext& ctx,
   }
   outcome.fitness = ctx.fitness();
   // Latency is recorded only — never branched on — so the decode itself stays
-  // deterministic; the flight recorder applies its slow-decode watermark to
+  // deterministic; the recorder's ring applies its slow-decode watermark to
   // the same reading.
   const std::uint64_t ns = obs::ticks_to_ns(obs::clock_ticks() - t0);
   DecodeMetrics::get().latency_ns.record(ns);
-  obs::flight_recorder_note_decode(ns, lcp, outcome.strings_deployed);
+  obs::fr_note_decode(ns, lcp, outcome.strings_deployed);
   return outcome;
 }
 

@@ -5,9 +5,9 @@
 #include "analysis/session.hpp"
 #include "core/imr.hpp"
 #include "obs/clock.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "obs/trace.hpp"
 
 namespace tsce::core {
 
@@ -116,8 +116,8 @@ ReallocationResult reallocate(const SystemModel& updated_model,
   m.migrations.record(result.migrations);
   const std::uint64_t ns = obs::ticks_to_ns(obs::clock_ticks() - t0);
   m.latency_ns.record(ns);
-  obs::flight_recorder_record(obs::FrKind::kRemap, ns, result.migrations,
-                              result.dropped.size());
+  obs::fr_record(obs::FrKind::kRemap, ns, result.migrations,
+                 result.dropped.size());
   return result;
 }
 

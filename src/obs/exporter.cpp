@@ -3,9 +3,9 @@
 #include <cinttypes>
 #include <utility>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_info.hpp"
+#include "obs/trace.hpp"
 
 namespace tsce::obs {
 
@@ -111,7 +111,7 @@ void MetricsExporter::run() {
                  [this] { return stop_requested_; });
     if (stop_requested_) break;
     lock.unlock();
-    flight_recorder_poll();
+    trace_poll();
     export_once();
     lock.lock();
   }

@@ -19,13 +19,13 @@
 ///                     _count/_sum plus quantile samples, terminated by
 ///                     "# EOF") for scrape-style collection.
 ///
-/// Each tick also calls flight_recorder_poll(), so a SIGUSR1-requested flight
-/// recorder dump is serviced within one export period — the exporter doubles
-/// as the process's observability housekeeping tick.
+/// Each tick also calls trace_poll(), so a SIGUSR1-requested write of the
+/// recorder rings into the open trace is serviced within one export period —
+/// the exporter doubles as the process's observability housekeeping tick.
 ///
 /// The exporter only *reads* telemetry; it never updates a metric or records
 /// an event, so its background thread creates no registry shard or recorder
-/// ring and cannot perturb determinism-audited runs.
+/// state and cannot perturb determinism-audited runs.
 
 #pragma once
 

@@ -4,10 +4,11 @@
 /// All dotted-path name literals passed to MetricsRegistry::counter/gauge/
 /// histogram, obs::Span, and obs::trace_event live here as constexpr
 /// string_views.  Call sites in src/ reference these constants; call sites in
-/// bench/ and tools/ may keep inline literals, but tools/tsce_lint verifies
-/// every such literal is declared in this file — so the full telemetry
-/// vocabulary is greppable in one place and a typo ("decode.cals") fails the
-/// lint instead of silently creating a second time series.
+/// bench/ and tools/ may keep inline literals, but tsce_analyze's
+/// metric-name-registry rule verifies every such literal is declared in this
+/// file — so the full telemetry vocabulary is greppable in one place and a
+/// typo ("decode.cals") fails the lint instead of silently creating a second
+/// time series.
 ///
 /// Naming convention: `<module>.<noun>[.<qualifier>]`, lower-case, dots as
 /// separators.  Span/event names double as trace_report group keys.
@@ -74,7 +75,7 @@ inline constexpr std::string_view kTemperSweeps = "search.temper.sweeps";
 inline constexpr std::string_view kTemperExchanges = "search.temper.exchanges";
 inline constexpr std::string_view kTemperSwaps = "search.temper.swaps";
 
-// --- flight recorder event names (one per FrKind; see flight_recorder.hpp) --
+// --- recorder ring event names (one per FrKind; see trace.hpp) ------------
 inline constexpr std::string_view kFrDecode = "fr.decode";
 inline constexpr std::string_view kFrCommitReject = "fr.commit.reject";
 inline constexpr std::string_view kFrUncommit = "fr.uncommit";

@@ -246,7 +246,9 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void write_escaped(std::string& out, const std::string& s) {
+}  // namespace
+
+void write_escaped(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -287,8 +289,6 @@ void write_number(std::string& out, double d) {
   std::snprintf(buf, sizeof(buf), "%.17g", d);
   out += buf;
 }
-
-}  // namespace
 
 Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
 

@@ -109,4 +109,11 @@ class Json {
 /// Writes pretty-printed JSON to a file; throws on I/O failure.
 void write_json_file(const std::string& path, const Json& value);
 
+/// Appends \p s as a quoted, escaped JSON string.
+void write_escaped(std::string& out, std::string_view s);
+/// Appends \p d as a JSON number: integral values below 1e15 without a
+/// fraction, others round-trip exactly (%.17g); NaN and infinities, which
+/// JSON cannot express, as null.
+void write_number(std::string& out, double d);
+
 }  // namespace tsce::util

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -25,7 +26,7 @@
 #include "analysis/metrics.hpp"
 #include "core/class_based.hpp"
 #include "obs/exporter.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/trace.hpp"
 #include "core/exact.hpp"
 #include "core/local_search.hpp"
 #include "core/psg.hpp"
@@ -216,15 +217,15 @@ TEST(DeterminismAudit, ClassBasedResultIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismAudit, ResultsIdenticalWithObservabilityEnabled) {
-  // The always-on observability layer must be a pure observer: with the
-  // flight recorder armed (small rings, live watermarks) and the metrics
-  // exporter sampling on a tight cadence in the background, search results
-  // stay byte-identical across thread counts — latency histograms and rings
-  // record wall-clock values but nothing ever branches on them.
-  obs::FlightRecorderConfig fr;
-  fr.ring_capacity = 256;
-  fr.decode_latency_watermark_ns = 1;  // every decode "slow": worst case
-  obs::flight_recorder_configure(fr);
+  // The observability layer must be a pure observer: with a trace open, the
+  // slow-decode watermark armed and the metrics exporter sampling on a tight
+  // cadence in the background, search results stay byte-identical across
+  // thread counts — latency histograms, rings and spans record wall-clock
+  // values but nothing ever branches on them.
+  const std::string trace_path = testing::TempDir() + "determinism_trace.jsonl";
+  ASSERT_TRUE(obs::trace_open(trace_path, obs::RunInfo::current()));
+  obs::trace_install_signal_trigger();
+  obs::fr_set_decode_watermark_ns(1);  // every decode "slow": worst case
 
   obs::MetricsExporterConfig exporter_config;
   exporter_config.path = testing::TempDir() + "determinism_series.jsonl";
@@ -235,16 +236,19 @@ TEST(DeterminismAudit, ResultsIdenticalWithObservabilityEnabled) {
   const SystemModel model = audit_model(Scenario::kHighlyLoaded);
   const std::string baseline = psg_result(model, kThreadCounts[0]);
   for (std::size_t i = 1; i < std::size(kThreadCounts); ++i) {
+    // The exporter's next tick writes every ring while the workers record.
+    std::raise(SIGUSR1);
     EXPECT_EQ(baseline, psg_result(model, kThreadCounts[i]))
         << "observability perturbed the search at " << kThreadCounts[i]
         << " threads";
   }
 
   exporter.stop();
+  obs::trace_close();
+  obs::fr_set_decode_watermark_ns(0);
   EXPECT_GE(exporter.samples(), 1u);
   std::remove(exporter_config.path.c_str());
-  obs::flight_recorder_reset();
-  obs::flight_recorder_configure(obs::FlightRecorderConfig{});
+  std::remove(trace_path.c_str());
 }
 
 }  // namespace

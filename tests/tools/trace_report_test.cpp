@@ -10,7 +10,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+
+#include "obs/names.hpp"
+#include "obs/run_info.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -353,8 +358,8 @@ TEST(TraceReport, MetricsSeriesWithNoSamplesFails) {
 }
 
 TEST(TraceReport, FlightRecorderDumpRendersEventsTable) {
-  // A flight-recorder dump is trace-compatible JSONL: the default mode folds
-  // its events into the generic Events table with provenance.
+  // A trace holding only recorder ring events (fr.*): the default mode folds
+  // them into the generic Events table with provenance.
   const std::string dump =
       std::string(TSCE_TOOLS_FIXTURE_DIR) + "/golden_fr_dump.jsonl";
   const RunResult r = run(dump);
@@ -368,6 +373,37 @@ TEST(TraceReport, FlightRecorderDumpRendersEventsTable) {
   EXPECT_NE(reject_at, std::string::npos) << r.output;
   EXPECT_NE(anomaly_at, std::string::npos) << r.output;
   EXPECT_LT(decode_at, reject_at);  // first-seen order preserved
+}
+
+TEST(TraceReport, NonFiniteFieldsAreNotMalformed) {
+  // The recorder writes NaN and infinities as null and huge values in full;
+  // every such line parses and reads as an absent field.
+  const std::string path = testing::TempDir() + "tsce_trace_nonfinite.jsonl";
+  ASSERT_TRUE(tsce::obs::trace_open(path, tsce::obs::RunInfo::current()));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    tsce::obs::Span span(tsce::obs::names::kBenchAlloc, {{"phase", "PSG"}});
+    span.add("metric", nan);
+    span.add("evaluations", 1e300);
+  }
+  tsce::obs::trace_event(tsce::obs::names::kSearchImprove,
+                         {{"phase", "PSG"}, {"worth", 120}, {"slackness", inf}});
+  tsce::obs::trace_event(tsce::obs::names::kSearchImprove,
+                         {{"phase", "PSG"}, {"worth", 130}, {"slackness", -inf}});
+  tsce::obs::trace_event(tsce::obs::names::kBenchMicroEvent, {{"k", nan}});
+  tsce::obs::trace_close();
+
+  const RunResult r = run(path);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("malformed"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("bench.alloc [PSG]"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find(tsce::obs::names::kBenchMicroEvent), std::string::npos)
+      << r.output;
+  const RunResult conv = run("--convergence " + path);
+  EXPECT_EQ(conv.exit_code, 0) << conv.output;
+  EXPECT_EQ(conv.output.find("malformed"), std::string::npos) << conv.output;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -12,9 +12,9 @@
 /// one row per strategy).  "search.improve" events are folded into a
 /// per-phase convergence summary: improvement count, first/best fitness, and
 /// the time at which the best was reached; --full additionally lists every
-/// improvement event in order.  Event records of any other name — including
-/// flight-recorder dumps (fr.*) — are folded into a per-name count/time-window
-/// table, so an obs::flight_recorder_dump file is consumed directly.
+/// improvement event in order.  Event records of any other name — such as
+/// the recorder rings' fr.* events, which obs writes into the same trace — are
+/// folded into a per-name count/time-window table.
 ///
 /// --metrics-series folds an obs::MetricsExporter JSONL series into counter
 /// throughput (first/last value, delta, rate over the sampled window) and
@@ -57,8 +57,11 @@ using tsce::util::Json;
 using tsce::util::RunningStats;
 using tsce::util::Table;
 
+/// A field that is missing or not a number (a non-finite value is written
+/// as null) reads as \p fallback.
 double field_num(const Json& f, std::string_view key, double fallback = 0.0) {
-  return f.contains(key) ? f.at(key).as_number() : fallback;
+  return f.contains(key) && f.at(key).is_number() ? f.at(key).as_number()
+                                                  : fallback;
 }
 
 std::string field_str(const Json& f, std::string_view key) {
@@ -71,7 +74,7 @@ struct SpanGroup {
 };
 
 /// Per-name tally of event records that have no specialized fold (e.g. the
-/// flight recorder's fr.* events): count plus the time window they span.
+/// recorder rings' fr.* events): count plus the time window they span.
 struct EventGroup {
   std::size_t count = 0;
   double t_first_s = 0.0;
