@@ -1,9 +1,10 @@
 // Pins the session commit path on bench-shaped instances.
 //
 // AllocationSession::try_commit is deterministic: a fixed model and a fixed
-// sequence of IMR-mapped commits, uncommits and decodes must reproduce the
-// same accept/reject decisions, the same rejection kinds, the same fitness
-// bits and the same bits of every cached eq. (5)-(6) estimate on every build.
+// sequence of IMR-mapped commits, checkpoint restores and decodes must
+// reproduce the same accept/reject decisions, the same rejection kinds, the
+// same fitness bits and the same bits of every cached eq. (5)-(6) estimate
+// on every build.
 // A change to the commit path that is meant to be a pure speed-up (fused
 // resident scans, flat coefficient tables, cheaper dedupe) must keep every
 // value below; a change that alters the analysis must re-capture them and
@@ -122,40 +123,30 @@ TEST_P(CommitPath, MatchesReference) {
   Fnv estimates;
   Fnv fitness;
 
-  // Part 1: IMR-mapped commits in random order, interleaved with single and
-  // batched uncommits, so both the commit and the refresh paths are pinned.
+  // Part 1: IMR-mapped commits in random order, with random rewinds to a
+  // checkpoint taken earlier in the round (snapshot_into / restore_from, the
+  // library's only rewind), so commits on restored state are pinned too.
   {
     AllocationSession session(m);
+    SessionSnapshot checkpoint;
     core::ImrScratch scratch;
     std::vector<MachineId> assignment;
-    std::vector<StringId> deployed;
-    std::vector<StringId> batch;
     for (int round = 0; round < 6; ++round) {
       std::vector<StringId> order = core::identity_order(m);
       rng.shuffle(order);
+      session.snapshot_into(checkpoint);
       for (const StringId k : order) {
         if (session.allocation().deployed(k)) continue;
         core::imr_map_string_into(m, session.util(), k, scratch, assignment);
         const bool ok = session.try_commit(k, assignment);
         decisions.add(static_cast<std::uint64_t>(k) * 2 + (ok ? 1 : 0));
-        if (ok) deployed.push_back(k);
         hash_estimates(session, estimates);
         const auto r = rng.bounded(8);
-        if (r == 0 && !deployed.empty()) {
-          const std::size_t at = rng.bounded(deployed.size());
-          session.uncommit(deployed[at]);
-          deployed.erase(deployed.begin() + static_cast<std::ptrdiff_t>(at));
+        if (r == 0) {
+          session.restore_from(checkpoint);
           hash_estimates(session, estimates);
-        } else if (r == 1 && deployed.size() > 2) {
-          batch.clear();
-          const std::size_t n = 1 + rng.bounded(3);
-          for (std::size_t b = 0; b < n && !deployed.empty(); ++b) {
-            const std::size_t at = rng.bounded(deployed.size());
-            batch.push_back(deployed[at]);
-            deployed.erase(deployed.begin() + static_cast<std::ptrdiff_t>(at));
-          }
-          session.uncommit_all(batch);
-          hash_estimates(session, estimates);
+        } else if (r == 1) {
+          session.snapshot_into(checkpoint);
         }
       }
       fitness.add(static_cast<std::uint64_t>(session.fitness().total_worth));
@@ -197,17 +188,17 @@ INSTANTIATE_TEST_SUITE_P(
     BenchShapes, CommitPath,
     ::testing::Values(
         CommitPathCase{"s1_loaded_6x40", workload::Scenario::kHighlyLoaded, 6, 40, 2005,
-                       0x4a263530e3b8d738ULL, 0xec63997a24d032cfULL,
-                       0x31d1d39376c2fdd8ULL, 0, 269, 0},
+                       0x668bdff18d5cd003ULL, 0x1fcba3f688c35c84ULL,
+                       0xdf6c3899bc6e70bdULL, 20, 280, 0},
         CommitPathCase{"s2_qos_6x40", workload::Scenario::kQosLimited, 6, 40, 4242,
-                       0x17a42be74570f94cULL, 0xa03c96174ed75a15ULL,
-                       0x27e388ed06391212ULL, 1, 265, 56},
+                       0x77f5ce4063fbfd50ULL, 0x0f03ebaea90e8a14ULL,
+                       0xaec46a130a07d8feULL, 13, 287, 59},
         CommitPathCase{"s3_slack_12x20", workload::Scenario::kLightlyLoaded, 12, 20, 7,
-                       0x5bda98c6f6640d77ULL, 0x6c5a0b6e175f85feULL,
-                       0x014bf4aec56e633aULL, 0, 0, 0},
+                       0xe07acf1f823a1a06ULL, 0x44fee21387d0246eULL,
+                       0xae68c434899010d1ULL, 0, 0, 0},
         CommitPathCase{"paper_12x150", workload::Scenario::kHighlyLoaded, 12, 150, 2005,
-                       0x9bbf65795483dc02ULL, 0x754305d36710a913ULL,
-                       0xd120a06fb5f1dc26ULL, 4, 568, 1}),
+                       0xc80ceb6f213b85d8ULL, 0x37bc5f3d157c9219ULL,
+                       0x5a39b9b8de21fc2dULL, 7, 631, 0}),
     [](const ::testing::TestParamInfo<CommitPathCase>& info) {
       return std::string(info.param.name);
     });
