@@ -413,7 +413,7 @@ void BM_TracingDisabledSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_TracingDisabledSpan);
 
-void BM_SessionCommitUncommit(benchmark::State& state) {
+void BM_SessionCommitRestore(benchmark::State& state) {
   const auto m = make_instance(6, 16);
   analysis::AllocationSession session(m);
   // Pre-commit half the strings as steady background load.
@@ -422,11 +422,20 @@ void BM_SessionCommitUncommit(benchmark::State& state) {
     (void)session.try_commit(k, assignment);
   }
   const auto assignment = core::imr_map_string(m, session.util(), 8);
+  // Commit, then rewind to the checkpoint: the library's only rewind.
+  analysis::SessionSnapshot checkpoint;
+  session.snapshot_into(checkpoint);
+  std::int64_t accepted = 0;
   for (auto _ : state) {
-    if (session.try_commit(8, assignment)) session.uncommit(8);
+    if (session.try_commit(8, assignment)) {
+      session.restore_from(checkpoint);
+      ++accepted;
+    }
   }
+  state.counters["accept_frac"] =
+      static_cast<double>(accepted) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_SessionCommitUncommit);
+BENCHMARK(BM_SessionCommitRestore);
 
 }  // namespace
 

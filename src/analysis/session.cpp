@@ -14,7 +14,6 @@
 
 namespace tsce::analysis {
 
-using model::Allocation;
 using model::AppIndex;
 using model::MachineId;
 using model::StringId;
@@ -22,26 +21,20 @@ using model::SystemModel;
 
 namespace {
 
-/// Feasibility-rejection and rewind tallies, by cause.  Handles are resolved
-/// once; updates are thread-local (see obs/metrics.hpp).
+/// Feasibility-rejection tallies, by cause, and commit latency.  Handles are
+/// resolved once; updates are thread-local (see obs/metrics.hpp).
 struct SessionMetrics {
   obs::Counter& reject_utilization;  ///< stage one: resource over 100%
   obs::Counter& reject_throughput;   ///< stage two: eq. (1) period overrun
   obs::Counter& reject_latency;      ///< stage two: eq. (1) latency overrun
-  obs::Counter& uncommit_batches;
-  obs::Counter& uncommit_strings;
-  obs::Histogram& commit_latency_ns;    ///< wall clock per try_commit call
-  obs::Histogram& uncommit_latency_ns;  ///< wall clock per uncommit_all call
+  obs::Histogram& commit_latency_ns;  ///< wall clock per try_commit call
 
   static SessionMetrics& get() {
     auto& reg = obs::MetricsRegistry::instance();
     static SessionMetrics m{reg.counter(obs::names::kSessionRejectUtilization),
                             reg.counter(obs::names::kSessionRejectThroughput),
                             reg.counter(obs::names::kSessionRejectLatency),
-                            reg.counter(obs::names::kSessionUncommitBatches),
-                            reg.counter(obs::names::kSessionUncommitStrings),
-                            reg.histogram(obs::names::kSessionCommitLatencyNs),
-                            reg.histogram(obs::names::kSessionUncommitLatencyNs)};
+                            reg.histogram(obs::names::kSessionCommitLatencyNs)};
     return m;
   }
 };
@@ -132,51 +125,6 @@ void AllocationSession::note_touched(StringId k) {
   }
 }
 
-void AllocationSession::uncommit_all(std::span<const StringId> ks) {
-  const std::uint64_t t0 = obs::clock_ticks();
-  SessionMetrics& metrics = SessionMetrics::get();
-  metrics.uncommit_batches.add(1);
-  metrics.uncommit_strings.add(ks.size());
-  // Union of resources the removed strings occupied (collected while the
-  // allocation still holds their assignments).
-  touched_machines_.clear();
-  touched_routes_.clear();
-  for (const StringId k : ks) {
-    assert(alloc_.deployed(k));
-    note_touched(k);
-  }
-
-  util_.remove_strings(alloc_, ks);
-  for (const StringId k : ks) {
-    alloc_.clear_string(k);
-    t_of_[static_cast<std::size_t>(k)] = std::numeric_limits<double>::quiet_NaN();
-  }
-
-  // One estimate refresh per affected survivor, against the final state.
-  clear_affected();
-  for (const MachineId j : touched_machines_) {
-    for (const AppRef& ref : util_.apps_on(j)) note_affected(ref.k);
-  }
-  for (const auto& [j1, j2] : touched_routes_) {
-    for (const AppRef& ref : util_.transfers_on(j1, j2)) note_affected(ref.k);
-  }
-  for (const StringId z : affected_strings_) estimate_string<false>(z);
-
-  const std::uint64_t ns = obs::ticks_to_ns(obs::clock_ticks() - t0);
-  metrics.uncommit_latency_ns.record(ns);
-  obs::fr_record(obs::FrKind::kUncommit, ns, ks.size());
-}
-
-void AllocationSession::reset() {
-  alloc_ = Allocation(*model_);
-  util_ = UtilizationState(*model_);
-  std::fill(t_of_.begin(), t_of_.end(), std::numeric_limits<double>::quiet_NaN());
-  // Estimate slots of undeployed strings are never read (refresh precedes
-  // every read), but reset is cold — scrub them so a stale value can't hide.
-  std::fill(comp_.begin(), comp_.end(), std::numeric_limits<double>::quiet_NaN());
-  std::fill(tran_.begin(), tran_.end(), std::numeric_limits<double>::quiet_NaN());
-}
-
 TSCE_HOT bool AllocationSession::try_commit(StringId k,
                                             const std::vector<MachineId>& assignment) {
   const std::uint64_t t0 = obs::clock_ticks();
@@ -251,17 +199,16 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
   return true;
 }
 
-template <bool kCommit>
 TSCE_HOT double AllocationSession::scan_comp(StringId k, std::size_t app,
                                              MachineId j) {
   // Eq. (5): each higher-priority data set of app p (string z) on the same
   // machine delays k by its CPU work t[p,j]*u[p,j], scaled by how many of its
   // periods overlap one of k's (P[k]/P[z]); see Figure 2 cases 1-3.
   //
-  // With kCommit, k has just been appended to the slab, and a resident z that
-  // k preempts gains k's term.  A full re-sum of z walks the slab in order
-  // and k's entries sit at its tail, so re-sum = (cached value) + (k's terms,
-  // in k-app order) by left-to-right float associativity: adding the term to
+  // k has just been appended to the slab, and a resident z that k preempts
+  // gains k's term.  A full re-sum of z walks the slab in order and k's
+  // entries sit at its tail, so re-sum = (cached value) + (k's terms, in
+  // k-app order) by left-to-right float associativity: adding the term to
   // the cached slot is bit-exact.  Old slot values are journaled first so a
   // stage-two rejection can restore them exactly.  A resident that preempts
   // k never waits on k, so its slot is untouched.
@@ -276,7 +223,7 @@ TSCE_HOT double AllocationSession::scan_comp(StringId k, std::size_t app,
     if (ref.k == k) continue;  // same-string apps share one tightness value
     const auto zu = static_cast<std::size_t>(ref.k);
     const double t_z = t_of_[zu];
-    if (kCommit && higher_priority(t_k, k, t_z, ref.k)) {
+    if (higher_priority(t_k, k, t_z, ref.k)) {
       note_affected(ref.k);
       const std::uint32_t slot = c.app_off[zu] + ref.i;
       comp_journal_.emplace_back(slot, comp_[slot]);
@@ -288,7 +235,6 @@ TSCE_HOT double AllocationSession::scan_comp(StringId k, std::size_t app,
   return t;
 }
 
-template <bool kCommit>
 TSCE_HOT double AllocationSession::scan_tran(StringId k, std::size_t app,
                                              MachineId j1, MachineId j2) {
   // Eq. (6), the transfer analogue of scan_comp on route j1->j2.
@@ -304,7 +250,7 @@ TSCE_HOT double AllocationSession::scan_tran(StringId k, std::size_t app,
     if (ref.k == k) continue;
     const auto zu = static_cast<std::size_t>(ref.k);
     const double t_z = t_of_[zu];
-    if (kCommit && higher_priority(t_k, k, t_z, ref.k)) {
+    if (higher_priority(t_k, k, t_z, ref.k)) {
       note_affected(ref.k);
       const std::uint32_t slot = c.tran_off[zu] + ref.i;
       tran_journal_.emplace_back(slot, tran_[slot]);
@@ -316,37 +262,31 @@ TSCE_HOT double AllocationSession::scan_tran(StringId k, std::size_t app,
   return t;
 }
 
-template <bool kCommit>
-TSCE_HOT void AllocationSession::estimate_string(StringId z) {
-  // Full per-string estimate: strings are short (<= ~10 apps), so
-  // recomputing the whole string is cheaper than tracking which of its apps
-  // were touched.  The flat slices are fixed-size (prefix-sum layout), so
-  // this writes in place — no resize, no allocation.
-  const CoefficientTables& c = util_.coefficients();
-  const auto zu = static_cast<std::size_t>(z);
-  const std::size_t n = model_->strings[zu].size();
-  const std::size_t app0 = c.app_off[zu];
-  double* const comp = comp_.data() + app0;
-  double* const tran = tran_.data() + c.tran_off[zu];
-  for (std::size_t i = 0; i < n; ++i) {
-    const MachineId j = alloc_.machine_of(z, static_cast<AppIndex>(i));
-    comp[i] = scan_comp<kCommit>(z, app0 + i, j);
-    if (i + 1 < n) {
-      const MachineId j2 = alloc_.machine_of(z, static_cast<AppIndex>(i + 1));
-      tran[i] = scan_tran<kCommit>(z, app0 + i, j, j2);
-    }
-  }
-}
-
 TSCE_HOT ConstraintViolation AllocationSession::stage_two_after_add(StringId k) {
   // Only two kinds of strings see their estimates change when k commits:
   // k itself, and the residents of k's resources that k preempts.  A string
   // with unchanged estimates cannot newly violate eq. (1) (it passed when it
   // was committed), so it needs neither a refresh nor a re-check.  One scan
-  // per resource serves both (estimate_string<true>).
+  // per resource serves both.
   clear_affected();
   note_affected(k);
-  estimate_string<true>(k);
+  // Full estimate of k: strings are short (<= ~10 apps).  The flat slices
+  // are fixed-size (prefix-sum layout), so this writes in place — no resize,
+  // no allocation.
+  const CoefficientTables& c = util_.coefficients();
+  const auto ku = static_cast<std::size_t>(k);
+  const std::size_t n = model_->strings[ku].size();
+  const std::size_t app0 = c.app_off[ku];
+  double* const comp = comp_.data() + app0;
+  double* const tran = tran_.data() + c.tran_off[ku];
+  for (std::size_t i = 0; i < n; ++i) {
+    const MachineId j = alloc_.machine_of(k, static_cast<AppIndex>(i));
+    comp[i] = scan_comp(k, app0 + i, j);
+    if (i + 1 < n) {
+      const MachineId j2 = alloc_.machine_of(k, static_cast<AppIndex>(i + 1));
+      tran[i] = scan_tran(k, app0 + i, j, j2);
+    }
+  }
   for (const StringId z : affected_strings_) {
     const ConstraintViolation violation = constraint_violation(z);
     if (violation != ConstraintViolation::kNone) return violation;

@@ -15,19 +15,19 @@
 /// touches (DESIGN.md §12): a resident that k preempts gets k's eq. (5)-(6)
 /// term added to its cached slot, and every other resident adds its term to
 /// k's own running estimate, in slab order — the same sums, in the same
-/// order, as a from-scratch estimate.  Uncommit refreshes survivors with the
-/// same per-app kernel, with the preemption deltas switched off.  Affected
-/// strings are deduplicated by a per-string epoch stamp, keeping first-noted
-/// order, and every coefficient comes from the utilization state's flat
-/// CoefficientTables rather than the model's per-app vectors.
+/// order, as a from-scratch estimate.  Affected strings are deduplicated by
+/// a per-string epoch stamp, keeping first-noted order, and every coefficient
+/// comes from the utilization state's flat CoefficientTables rather than the
+/// model's per-app vectors.
 ///
 /// Estimate storage is SoA (DESIGN.md §12): one flat double array for all
 /// eq. (5) computation estimates and one for all eq. (6) transfer estimates,
 /// indexed by prefix sums over string lengths — no per-string vectors, so the
 /// steady-state commit/rollback path never allocates.  The whole session
 /// state snapshots into a SessionSnapshot and restores back with a handful of
-/// memcpys, bit-exactly; the prefix-reuse decode rewinds through this instead
-/// of replaying removals, and replica-based engines clone sessions the same
+/// memcpys, bit-exactly.  That is the session's only rewind beyond a failed
+/// commit's rollback: the prefix-reuse decode and the exact search return to
+/// a checkpoint this way, and replica-based engines clone sessions the same
 /// way.
 
 #pragma once
@@ -78,23 +78,6 @@ class AllocationSession {
   /// and false is returned.
   bool try_commit(model::StringId k, const std::vector<model::MachineId>& assignment);
 
-  /// Removes a previously committed string, restoring the estimates of every
-  /// string that shared resources with it: uncommit_all over {k}.
-  void uncommit(model::StringId k) { uncommit_all({&k, 1}); }
-
-  /// Batched uncommit: removes every string in \p ks, then restores the
-  /// estimates of the affected survivors once at the end.  The final state is
-  /// bit-identical to uncommitting the strings one at a time (in any order):
-  /// eq. (5)-(6) estimates are pure functions of the final (allocation,
-  /// utilization, tightness) state, and survivors whose resources are
-  /// disjoint from the removed set see identical inputs either way.  The
-  /// single deferred refresh makes a suffix rewind in the prefix-reuse decode
-  /// O(residents) instead of O(suffix x residents).
-  void uncommit_all(std::span<const model::StringId> ks);
-
-  /// Forgets all commitments.
-  void reset();
-
   /// Copies the full session state into \p out (buffers reused — no
   /// allocation once \p out has reached working size).  restore_from() is the
   /// exact inverse: the restored session is bit-identical to the session at
@@ -135,16 +118,10 @@ class AllocationSession {
   /// eq. (1) for each affected string; returns the first violation found
   /// (kNone when all pass).
   [[nodiscard]] ConstraintViolation stage_two_after_add(model::StringId k);
-  /// Recomputes every estimate of deployed string z; with kCommit, also
-  /// delta-updates (and journals) the residents z preempts.
-  template <bool kCommit>
-  void estimate_string(model::StringId z);
   /// The eq. (5) / eq. (6) kernels: string k's estimate for app row \p app
-  /// on machine \p j (route j1->j2), one scan of the resident list.  With
-  /// kCommit, residents that k preempts get k's term instead.
-  template <bool kCommit>
+  /// on machine \p j (route j1->j2), one scan of the resident list;
+  /// residents that k preempts get k's term instead.
   double scan_comp(model::StringId k, std::size_t app, model::MachineId j);
-  template <bool kCommit>
   double scan_tran(model::StringId k, std::size_t app, model::MachineId j1,
                    model::MachineId j2);
   /// Appends the machines and routes deployed string k occupies to the
@@ -165,8 +142,8 @@ class AllocationSession {
   // Scratch reused across commits to avoid churn.
   std::vector<model::MachineId> touched_machines_;
   std::vector<std::pair<model::MachineId, model::MachineId>> touched_routes_;
-  /// Strings whose estimates a commit or uncommit changed, in first-noted
-  /// order; a string is in the set iff its stamp equals the current epoch.
+  /// Strings whose estimates a commit changed, in first-noted order; a
+  /// string is in the set iff its stamp equals the current epoch.
   std::vector<model::StringId> affected_strings_;
   std::vector<std::uint32_t> affected_stamp_;
   std::uint32_t affected_epoch_ = 0;

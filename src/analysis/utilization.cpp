@@ -177,26 +177,12 @@ TSCE_HOT void UtilizationState::remove_string(const Allocation& alloc, StringId 
   // recomputes every touched utilization as a fresh left-to-right sum over
   // the survivors.  Subtracting the deltas instead would leave floating-point
   // residues ((u + d) - d != u in general), breaking the exact-rollback
-  // invariant that the prefix-reuse decode and try_commit rely on: a
-  // commit/uncommit round trip must restore bit-identical state.  Fresh
-  // summation makes each utilization a pure function of its resident list,
-  // and add_string's running sum equals the same left fold, so the two paths
-  // can never drift apart.
+  // invariant that try_commit relies on: a rejected commit must restore
+  // bit-identical state.  Fresh summation makes each utilization a pure
+  // function of its resident list, and add_string's running sum equals the
+  // same left fold, so the two paths can never drift apart.
   touched_machines_.clear();
   touched_routes_.clear();
-  erase_string(alloc, k);
-  resum_touched();
-}
-
-TSCE_HOT void UtilizationState::remove_strings(const Allocation& alloc,
-                                               std::span<const StringId> ks) {
-  touched_machines_.clear();
-  touched_routes_.clear();
-  for (const StringId k : ks) erase_string(alloc, k);
-  resum_touched();
-}
-
-TSCE_HOT void UtilizationState::erase_string(const Allocation& alloc, StringId k) {
   const auto& s = model_->strings[static_cast<std::size_t>(k)];
   const auto n = static_cast<AppIndex>(s.size());
   for (AppIndex i = 0; i < n; ++i) {
@@ -219,6 +205,7 @@ TSCE_HOT void UtilizationState::erase_string(const Allocation& alloc, StringId k
       }
     }
   }
+  resum_touched();
 }
 
 TSCE_HOT void UtilizationState::resum_touched() {

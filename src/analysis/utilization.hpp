@@ -12,8 +12,8 @@
 /// (offset, size, capacity) triples, and a CSR-style pool of resident AppRef
 /// slabs that grow in place amortized.  Because every internal reference is
 /// an arena offset, snapshot()/restore() are single memcpys of the used
-/// prefix and are bit-exact; remove_string/remove_strings keep the original
-/// re-summation semantics for callers that rewind without a snapshot.
+/// prefix and are bit-exact; remove_string re-sums the resources it touches,
+/// so a failed commit rolls back bit-exactly without a snapshot.
 ///
 /// Every per-app and per-string factor the hot loops multiply by (t*u, the
 /// utilization deltas, output megabits, periods, IMR intensities) is read
@@ -106,15 +106,8 @@ class UtilizationState {
   /// bit-identical to a state that never added string k (touched resources
   /// are re-summed over their resident lists rather than decremented, so no
   /// floating-point residue survives).  This exactness is the rollback
-  /// invariant the prefix-reuse decode (core::DecodeContext) depends on.
+  /// invariant a failed AllocationSession::try_commit depends on.
   void remove_string(const model::Allocation& alloc, model::StringId k);
-  /// Batched remove_string: erases every string in \p ks, then re-sums each
-  /// touched resource once.  Because removal is exact (pure function of the
-  /// final resident lists), the result is bit-identical to removing the
-  /// strings one at a time, in any order — but a suffix rewind pays one
-  /// re-summation per touched resource instead of one per removed string.
-  void remove_strings(const model::Allocation& alloc,
-                      std::span<const model::StringId> ks);
 
   /// U_machine[j], eq. (2).
   [[nodiscard]] double machine_util(model::MachineId j) const noexcept {
@@ -200,9 +193,6 @@ class UtilizationState {
   /// order semantics as the original vector erase).
   void slab_erase(std::size_t resource, AppRef ref);
 
-  /// Erases k's entries from the resident lists, accumulating the touched
-  /// resources into the scratch vectors (callers clear them first).
-  void erase_string(const model::Allocation& alloc, model::StringId k);
   /// Recomputes every touched utilization as a fresh sum over its residents.
   void resum_touched();
 

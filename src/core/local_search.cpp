@@ -8,7 +8,6 @@
 
 #include "core/decode.hpp"
 #include "core/evaluator.hpp"
-#include "core/ordered.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
@@ -89,9 +88,6 @@ AllocatorResult HillClimb::allocate(const SystemModel& model, util::Rng& rng) co
     util::Rng restart_rng = util::Rng::stream(base_seed, r);
     std::vector<StringId> current = identity_order(model);
     restart_rng.shuffle(current);
-    if (options_.lp_guided_start && r == 0) {
-      current = lp_guided_order(model);
-    }
     const DecodeOutcome optimum =
         climb(ctx, current, restart_rng, outcomes[r].evaluations, slice);
     outcomes[r].fitness = optimum.fitness;

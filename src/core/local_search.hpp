@@ -25,12 +25,6 @@ struct HillClimbOptions {
   /// stream from its index (util::Rng::stream), so the result is
   /// byte-identical at any thread count.
   std::size_t threads = 1;
-  /// When set, restart 0 climbs from the LP-guided ordering
-  /// (lp_guided_order: strings ranked by the fractional relaxation's deployed
-  /// fractions) instead of a random shuffle; later restarts still shuffle.
-  /// Restart 0's stream still performs its shuffle, so toggling this changes
-  /// only restart 0's start point, not the other restarts.
-  bool lp_guided_start = false;
 };
 
 /// First-improvement hill climbing over string orderings with the swap

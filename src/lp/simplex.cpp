@@ -222,7 +222,7 @@ class SparseSolver : private SolverBase {
 
   [[nodiscard]] bool factorize() {
     ++refactor_count_;
-    return lu_.factorize(a_, basis_, options_.pivot_tol);
+    return lu_.factorize(a_, basis_, kPivotTol);
   }
 
   /// Full state rebuild at the current basis: fresh factors, exact basic
@@ -319,8 +319,8 @@ class SparseSolver : private SolverBase {
     double score = kIneligible;
     if (vstat_[j] != VarStatus::kBasic && lower_[j] != upper_[j]) {
       const double d = d_[j];
-      if ((vstat_[j] == VarStatus::kAtLower && d < -options_.optimality_tol) ||
-          (vstat_[j] == VarStatus::kAtUpper && d > options_.optimality_tol)) {
+      if ((vstat_[j] == VarStatus::kAtLower && d < -kOptimalityTol) ||
+          (vstat_[j] == VarStatus::kAtUpper && d > kOptimalityTol)) {
         score = d * d / gamma_[j];
       }
     }
@@ -391,7 +391,7 @@ class SparseSolver : private SolverBase {
         const auto i = static_cast<std::size_t>(pi);
         const double wi = w_.values[i];
         const double rate = sigma * wi;
-        if (std::abs(rate) <= options_.pivot_tol) continue;
+        if (std::abs(rate) <= kPivotTol) continue;
         const auto b = static_cast<std::size_t>(basis_[i]);
         double ratio;
         int hits_upper;
@@ -433,7 +433,7 @@ class SparseSolver : private SolverBase {
         }
         return SolveStatus::kUnbounded;
       }
-      degenerate_run = t_limit <= options_.pivot_tol ? degenerate_run + 1 : 0;
+      degenerate_run = t_limit <= kPivotTol ? degenerate_run + 1 : 0;
 
       if (leave_row < 0) {
         // Bound flip: basis unchanged, reduced costs stay valid.
@@ -492,7 +492,7 @@ class SparseSolver : private SolverBase {
       basis_[r] = static_cast<std::int32_t>(j_enter);
       xb_[r] = enter_start + sigma * t_limit;
 
-      if (!lu_.push_eta(w_, r, options_.pivot_tol)) {
+      if (!lu_.push_eta(w_, r, kPivotTol)) {
         // Spike pivot below tolerance (the ratio test guards against this;
         // belt and braces): rebuild everything at the updated basis.
         clear_alpha();

@@ -64,15 +64,16 @@ struct SimplexBasis {
   [[nodiscard]] bool empty() const noexcept { return status.empty(); }
 };
 
+/// Dual feasibility (reduced cost) tolerance.
+inline constexpr double kOptimalityTol = 1e-7;
+/// Smallest acceptable pivot magnitude.
+inline constexpr double kPivotTol = 1e-9;
+/// Primal feasibility tolerance (bound violations).
+inline constexpr double kFeasibilityTol = 1e-7;
+
 struct SimplexOptions {
   /// Hard cap across both phases; 0 means 50*(m+n) adaptive.
   std::size_t max_iterations = 0;
-  /// Dual feasibility (reduced cost) tolerance.
-  double optimality_tol = 1e-7;
-  /// Smallest acceptable pivot magnitude.
-  double pivot_tol = 1e-9;
-  /// Primal feasibility tolerance (bound violations).
-  double feasibility_tol = 1e-7;
   /// Consecutive degenerate iterations before switching to Bland's rule.
   std::size_t degeneracy_limit = 200;
   /// Eta-file length that forces a refactorisation.

@@ -114,8 +114,8 @@ class SolverBase {
   [[nodiscard]] bool needs_phase1() const noexcept {
     for (std::size_t i = 0; i < m_; ++i) {
       const auto b = static_cast<std::size_t>(basis_[i]);
-      if (xb_[i] < lower_[b] - options_.feasibility_tol ||
-          xb_[i] > upper_[b] + options_.feasibility_tol) {
+      if (xb_[i] < lower_[b] - kFeasibilityTol ||
+          xb_[i] > upper_[b] + kFeasibilityTol) {
         return true;
       }
     }
@@ -138,9 +138,9 @@ class SolverBase {
     for (std::size_t i = 0; i < m_; ++i) {
       const auto b = static_cast<std::size_t>(basis_[i]);
       double violation = 0.0;
-      if (xb_[i] < lower_[b] - options_.feasibility_tol) {
+      if (xb_[i] < lower_[b] - kFeasibilityTol) {
         violation = xb_[i] - lower_[b];  // negative
-      } else if (xb_[i] > upper_[b] + options_.feasibility_tol) {
+      } else if (xb_[i] > upper_[b] + kFeasibilityTol) {
         violation = xb_[i] - upper_[b];  // positive
       } else {
         continue;

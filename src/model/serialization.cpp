@@ -1,6 +1,10 @@
 #include "model/serialization.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace tsce::model {
 
@@ -37,6 +41,22 @@ std::vector<double> vector_from_json(const Json& json, const char* what) {
     xs.push_back(item.as_number());
   }
   return xs;
+}
+
+/// \p json as an int in [lo, hi].  Anything else (not a number, a fraction,
+/// a non-finite value, out of range) is a schema error naming \p what; the
+/// check comes before the cast, which is undefined for non-finite or
+/// out-of-range values and would silently truncate a fraction.
+int int_from_json(const Json& json, int lo, int hi, const std::string& what) {
+  if (!json.is_number()) schema_error(what + " must be an integer");
+  const double v = json.as_number();
+  if (!(v >= lo && v <= hi && v == std::trunc(v))) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%.17g", v);
+    schema_error(what + " must be an integer in [" + std::to_string(lo) + ", " +
+                 std::to_string(hi) + "], got " + got);
+  }
+  return static_cast<int>(v);
 }
 
 Worth worth_from_int(int value) {
@@ -104,7 +124,8 @@ SystemModel system_model_from_json(const Json& json) {
   const Json& machines = json.at("machines");
   std::size_t machine_count = 0;
   if (machines.is_number()) {
-    machine_count = static_cast<std::size_t>(machines.as_number());
+    machine_count = static_cast<std::size_t>(
+        int_from_json(machines, 0, std::numeric_limits<int>::max(), "machines"));
   } else if (machines.is_array()) {
     machine_count = machines.as_array().size();
     for (const Json& name : machines.as_array()) {
@@ -115,11 +136,12 @@ SystemModel system_model_from_json(const Json& json) {
     schema_error("machines must be a count or an array of names");
   }
 
-  model.network = Network(machine_count);
+  // Shape first, so the count cannot size the network beyond the file.
   const Json& bandwidth = json.at("bandwidth_mbps");
   if (!bandwidth.is_array() || bandwidth.as_array().size() != machine_count) {
     schema_error("bandwidth_mbps must be an MxM matrix");
   }
+  model.network = Network(machine_count);
   for (std::size_t j1 = 0; j1 < machine_count; ++j1) {
     const Json& row = bandwidth.as_array()[j1];
     if (!row.is_array() || row.as_array().size() != machine_count) {
@@ -140,7 +162,7 @@ SystemModel system_model_from_json(const Json& json) {
     if (js.contains("name")) s.name = js.at("name").as_string();
     s.period_s = js.at("period_s").as_number();
     s.max_latency_s = js.at("max_latency_s").as_number();
-    s.worth = worth_from_int(static_cast<int>(js.at("worth").as_number()));
+    s.worth = worth_from_int(int_from_json(js.at("worth"), 1, 100, "worth"));
     const Json& apps = js.at("apps");
     if (!apps.is_array()) schema_error("apps must be an array");
     for (const Json& ja : apps.as_array()) {
@@ -195,12 +217,10 @@ Allocation allocation_from_json(const Json& json, const SystemModel& model) {
       schema_error("mapping row " + std::to_string(k) + " has the wrong length");
     }
     for (std::size_t i = 0; i < row.as_array().size(); ++i) {
-      const Json& cell = row.as_array()[i];
-      if (!cell.is_number()) schema_error("mapping entries must be integers");
-      const int j = static_cast<int>(cell.as_number());
-      if (j < -1 || j >= static_cast<int>(model.num_machines())) {
-        schema_error("machine id " + std::to_string(j) + " out of range");
-      }
+      const int j = int_from_json(row.as_array()[i], -1,
+                                  static_cast<int>(model.num_machines()) - 1,
+                                  "mapping entry " + std::to_string(k) + "." +
+                                      std::to_string(i));
       alloc.assign(static_cast<StringId>(k), static_cast<AppIndex>(i),
                    static_cast<MachineId>(j));
     }

@@ -1,5 +1,6 @@
 #include "model/system_model.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -44,8 +45,10 @@ std::vector<std::string> SystemModel::validate() const {
   for (std::size_t k = 0; k < strings.size(); ++k) {
     const AppString& s = strings[k];
     check(problems, !s.apps.empty(), "string %zu has no applications", k);
-    check(problems, s.period_s > 0.0, "string %zu has nonpositive period", k);
-    check(problems, s.max_latency_s > 0.0, "string %zu has nonpositive max latency", k);
+    check(problems, s.period_s > 0.0 && std::isfinite(s.period_s),
+          "string %zu period is not positive and finite", k);
+    check(problems, s.max_latency_s > 0.0 && std::isfinite(s.max_latency_s),
+          "string %zu max latency is not positive and finite", k);
     const int iw = s.worth_factor();
     check(problems, iw == 1 || iw == 10 || iw == 100,
           "string %zu worth %d not in {1,10,100}", k, iw);
@@ -58,8 +61,10 @@ std::vector<std::string> SystemModel::validate() const {
             "string %zu app %zu nominal_util size %zu != %zu", k, i,
             a.nominal_util.size(), m);
       for (std::size_t j = 0; j < a.nominal_time_s.size() && j < m; ++j) {
-        check(problems, a.nominal_time_s[j] > 0.0,
-              "string %zu app %zu nonpositive time on machine %zu", k, i, j);
+        const double t = a.nominal_time_s[j];
+        check(problems, t > 0.0 && std::isfinite(t),
+              "string %zu app %zu time on machine %zu is not positive and finite",
+              k, i, j);
       }
       for (std::size_t j = 0; j < a.nominal_util.size() && j < m; ++j) {
         const double u = a.nominal_util[j];
@@ -67,8 +72,8 @@ std::vector<std::string> SystemModel::validate() const {
               "string %zu app %zu utilization %.3f outside (0,1] on machine %zu", k,
               i, u, j);
       }
-      check(problems, a.output_kbytes >= 0.0, "string %zu app %zu negative output",
-            k, i);
+      check(problems, a.output_kbytes >= 0.0 && std::isfinite(a.output_kbytes),
+            "string %zu app %zu output is not non-negative and finite", k, i);
     }
   }
   return problems;

@@ -31,9 +31,11 @@ struct SystemModel {
   /// Sum of worth factors over all strings (the ceiling for total worth).
   [[nodiscard]] int total_worth_available() const noexcept;
 
-  /// Structural validation: consistent per-machine vectors, positive periods
-  /// and latencies, utilizations in (0,1], nonnegative outputs, positive
-  /// bandwidths.  Returns human-readable problem descriptions (empty = valid).
+  /// Structural validation: consistent per-machine vectors, positive finite
+  /// periods, latencies and times, utilizations in (0,1], nonnegative finite
+  /// outputs, positive bandwidths (+inf allowed: an intra-machine or
+  /// unlimited route).  Returns human-readable problem descriptions (empty =
+  /// valid).
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 

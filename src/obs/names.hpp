@@ -34,7 +34,6 @@ inline constexpr std::string_view kDecodeMemoHits = "decode.memo_hits";
 // deterministic-valued.
 inline constexpr std::string_view kDecodeLatencyNs = "decode.latency_ns";
 inline constexpr std::string_view kSessionCommitLatencyNs = "session.commit.latency_ns";
-inline constexpr std::string_view kSessionUncommitLatencyNs = "session.uncommit.latency_ns";
 inline constexpr std::string_view kDynamicRemapLatencyNs = "dynamic.remap.latency_ns";
 inline constexpr std::string_view kLpSolveLatencyNs = "lp.solve.latency_ns";
 
@@ -52,8 +51,6 @@ inline constexpr std::string_view kDynamicRemapMigrations = "dynamic.remap.migra
 inline constexpr std::string_view kSessionRejectUtilization = "session.reject.utilization";
 inline constexpr std::string_view kSessionRejectThroughput = "session.reject.throughput";
 inline constexpr std::string_view kSessionRejectLatency = "session.reject.latency";
-inline constexpr std::string_view kSessionUncommitBatches = "session.uncommit.batches";
-inline constexpr std::string_view kSessionUncommitStrings = "session.uncommit.strings";
 
 // --- search spans and convergence events -----------------------------------
 inline constexpr std::string_view kSearchTrial = "search.trial";
@@ -78,7 +75,6 @@ inline constexpr std::string_view kTemperSwaps = "search.temper.swaps";
 // --- recorder ring event names (one per FrKind; see trace.hpp) ------------
 inline constexpr std::string_view kFrDecode = "fr.decode";
 inline constexpr std::string_view kFrCommitReject = "fr.commit.reject";
-inline constexpr std::string_view kFrUncommit = "fr.uncommit";
 inline constexpr std::string_view kFrRemap = "fr.remap";
 inline constexpr std::string_view kFrAnomaly = "fr.anomaly";
 inline constexpr std::string_view kFrMark = "fr.mark";

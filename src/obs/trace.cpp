@@ -154,7 +154,6 @@ struct KindDesc {
 constexpr KindDesc kKinds[kFrKindCount] = {
     {names::kFrDecode, "ns", "reused", "deployed"},
     {names::kFrCommitReject, "string", "violation", {}},
-    {names::kFrUncommit, "ns", "strings", {}},
     {names::kFrRemap, "ns", "migrations", "dropped"},
     {names::kFrAnomaly, "code", "value", "watermark"},
     {names::kFrMark, "a0", "a1", "a2"},

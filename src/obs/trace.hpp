@@ -116,10 +116,9 @@ enum class FrKind : std::uint16_t {
   kDecode = 0,        ///< ns = latency, reused = prefix reused, deployed
   kCommitReject = 1,  ///< string = string id, violation = class (1 util,
                       ///< 2 throughput, 3 latency)
-  kUncommit = 2,      ///< ns = latency, strings = strings uncommitted
-  kRemap = 3,         ///< ns = latency, migrations, dropped
-  kAnomaly = 4,       ///< code = kFrSlowDecode, value = ns, watermark
-  kMark = 5,          ///< a0, a1, a2: user-defined (tests, bench marks)
+  kRemap = 2,         ///< ns = latency, migrations, dropped
+  kAnomaly = 3,       ///< code = kFrSlowDecode, value = ns, watermark
+  kMark = 4,          ///< a0, a1, a2: user-defined (tests, bench marks)
 };
 
 /// Events each thread's ring keeps.

@@ -1,9 +1,9 @@
 /// Property test for AllocationSession's incremental stage two: random
-/// histories of accepted and rejected try_commit, uncommit, uncommit_all and
-/// snapshot/restore on random small instances.  After every step the live
-/// session must be bitwise equal to a fresh session that commits the
-/// surviving strings, with the same assignments, in their surviving deploy
-/// order (utilization, resident lists and every cached eq. (5)-(6) estimate),
+/// histories of accepted and rejected try_commit and snapshot/restore on
+/// random small instances.  After every step the live session must be
+/// bitwise equal to a fresh session that commits the surviving strings, with
+/// the same assignments, in their surviving deploy order (utilization,
+/// resident lists and every cached eq. (5)-(6) estimate),
 /// and its estimates must agree with the from-scratch estimate_all reference
 /// to 1e-12 relative (which folds residents in string-id order, so it may
 /// differ by float re-association only).
@@ -63,13 +63,9 @@ class History {
   void run(int steps) {
     for (int step = 0; step < steps; ++step) {
       const auto r = rng_.bounded(10);
-      if (r < 5) {
+      if (r < 6) {
         commit_random_string();
-      } else if (r < 6) {
-        uncommit_one();
-      } else if (r < 7) {
-        uncommit_subset();
-      } else if (r < 9 || saved_.empty()) {
+      } else if (r < 8 || saved_.empty()) {
         save();
       } else {
         restore();
@@ -109,26 +105,6 @@ class History {
     } else {
       ++rejected_;
     }
-  }
-
-  void uncommit_one() {
-    if (deploy_order_.empty()) return;
-    const std::size_t at = rng_.bounded(deploy_order_.size());
-    session_.uncommit(deploy_order_[at]);
-    deploy_order_.erase(deploy_order_.begin() + static_cast<std::ptrdiff_t>(at));
-  }
-
-  void uncommit_subset() {
-    std::vector<StringId> subset;
-    for (auto it = deploy_order_.begin(); it != deploy_order_.end();) {
-      if (rng_.bounded(3) == 0) {
-        subset.push_back(*it);
-        it = deploy_order_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (!subset.empty()) session_.uncommit_all(subset);
   }
 
   void save() {

@@ -9,7 +9,6 @@
 namespace tsce::analysis {
 namespace {
 
-using model::MachineId;
 using model::SystemModel;
 using model::SystemModelBuilder;
 using model::Worth;
@@ -99,190 +98,6 @@ TEST(Session, FitnessTracksWorthAndSlackness) {
   ASSERT_TRUE(session.try_commit(1, {1, 1}));
   EXPECT_EQ(session.fitness().total_worth, 110);
   EXPECT_NEAR(session.fitness().slackness, 0.5, 1e-12);
-}
-
-TEST(Session, ResetClearsEverything) {
-  const SystemModel m = testing::two_machine_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-  session.reset();
-  EXPECT_EQ(session.fitness().total_worth, 0);
-  EXPECT_DOUBLE_EQ(session.util().machine_util(0), 0.0);
-  EXPECT_FALSE(session.allocation().deployed(0));
-  // Can commit again after reset.
-  EXPECT_TRUE(session.try_commit(0, {0, 1}));
-}
-
-TEST(Session, UncommitRestoresPreviousState) {
-  const SystemModel m = testing::two_machine_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 0}));
-  const double slack_before = session.fitness().slackness;
-  const double comp_before = session.comp_estimates(0)[0];
-  ASSERT_TRUE(session.try_commit(1, {0, 0}));
-  session.uncommit(1);
-  EXPECT_FALSE(session.allocation().deployed(1));
-  EXPECT_TRUE(session.allocation().deployed(0));
-  EXPECT_NEAR(session.fitness().slackness, slack_before, 1e-12);
-  EXPECT_DOUBLE_EQ(session.comp_estimates(0)[0], comp_before);
-  EXPECT_EQ(session.fitness().total_worth, 100);
-}
-
-TEST(Session, UncommitRestoresLowerPriorityEstimates) {
-  // Removing the tighter string must give the looser one its waiting back.
-  const SystemModel m = testing::figure2_system(4.0, 4.0, 1.0);
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(1, {0}));  // loose alone: comp = 2
-  EXPECT_DOUBLE_EQ(session.comp_estimates(1)[0], 2.0);
-  ASSERT_TRUE(session.try_commit(0, {0}));  // now loose waits: comp = 4
-  EXPECT_DOUBLE_EQ(session.comp_estimates(1)[0], 4.0);
-  session.uncommit(0);
-  EXPECT_DOUBLE_EQ(session.comp_estimates(1)[0], 2.0);
-}
-
-TEST(Session, UncommitThenRecommitIsIdempotent) {
-  const SystemModel m = testing::two_machine_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-  ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  const auto fitness = session.fitness();
-  session.uncommit(1);
-  ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  EXPECT_EQ(session.fitness().total_worth, fitness.total_worth);
-  EXPECT_NEAR(session.fitness().slackness, fitness.slackness, 1e-12);
-}
-
-/// Two machines, four low-utilization strings with cross-machine transfers:
-/// every commit order and machine split below is feasible, so the rollback
-/// tests can focus on state restoration.
-SystemModel four_string_system() {
-  return SystemModelBuilder(2)
-      .uniform_bandwidth(8.0)
-      .begin_string(10.0, 100.0, Worth::kHigh, "s0")
-      .add_app(1.0, 0.5, 20.0, "a0")
-      .add_app(0.5, 1.0, 0.0, "a1")
-      .begin_string(20.0, 200.0, Worth::kMedium, "s1")
-      .add_app(2.0, 0.4, 10.0, "b0")
-      .add_app(1.0, 0.5, 0.0, "b1")
-      .begin_string(25.0, 250.0, Worth::kLow, "s2")
-      .add_app(1.5, 0.6, 15.0, "c0")
-      .add_app(0.5, 0.8, 0.0, "c1")
-      .begin_string(40.0, 400.0, Worth::kMedium, "s3")
-      .add_app(3.0, 0.3, 5.0, "d0")
-      .add_app(1.0, 0.4, 0.0, "d1")
-      .build();
-}
-
-/// Exact (bitwise, via operator==) state comparison: utilization of every
-/// machine and route, fitness, and the cached eq. (5)-(6) estimates of every
-/// deployed string.  This is the rollback invariant the prefix-reuse decode
-/// depends on, so plain EXPECT_EQ on doubles is intentional.
-void expect_states_identical(const AllocationSession& a,
-                             const AllocationSession& b,
-                             const SystemModel& m) {
-  const auto machines = static_cast<MachineId>(m.num_machines());
-  for (MachineId j = 0; j < machines; ++j) {
-    EXPECT_EQ(a.util().machine_util(j), b.util().machine_util(j)) << "machine " << j;
-    for (MachineId j2 = 0; j2 < machines; ++j2) {
-      EXPECT_EQ(a.util().route_util(j, j2), b.util().route_util(j, j2))
-          << "route " << j << "->" << j2;
-    }
-  }
-  EXPECT_EQ(a.fitness().total_worth, b.fitness().total_worth);
-  EXPECT_EQ(a.fitness().slackness, b.fitness().slackness);
-  for (std::size_t k = 0; k < m.num_strings(); ++k) {
-    const auto id = static_cast<model::StringId>(k);
-    ASSERT_EQ(a.allocation().deployed(id), b.allocation().deployed(id)) << "k=" << k;
-    if (!a.allocation().deployed(id)) continue;
-    const auto& ca = a.comp_estimates(id);
-    const auto& cb = b.comp_estimates(id);
-    ASSERT_EQ(ca.size(), cb.size());
-    for (std::size_t i = 0; i < ca.size(); ++i) {
-      EXPECT_EQ(ca[i], cb[i]) << "comp k=" << k << " i=" << i;
-    }
-    const auto& ta = a.tran_estimates(id);
-    const auto& tb = b.tran_estimates(id);
-    ASSERT_EQ(ta.size(), tb.size());
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-      EXPECT_EQ(ta[i], tb[i]) << "tran k=" << k << " i=" << i;
-    }
-  }
-}
-
-TEST(Session, NonLifoUncommitMatchesFromScratch) {
-  const SystemModel m = four_string_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-  ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  ASSERT_TRUE(session.try_commit(2, {0, 0}));
-  ASSERT_TRUE(session.try_commit(3, {1, 1}));
-  session.uncommit(1);  // middle of the commit history, not the top
-
-  AllocationSession fresh(m);
-  ASSERT_TRUE(fresh.try_commit(0, {0, 1}));
-  ASSERT_TRUE(fresh.try_commit(2, {0, 0}));
-  ASSERT_TRUE(fresh.try_commit(3, {1, 1}));
-  expect_states_identical(session, fresh, m);
-  EXPECT_TRUE(check_feasibility(m, session.allocation()).feasible());
-}
-
-TEST(Session, CommitUncommitRecommitRoundTripBitIdentical) {
-  const SystemModel m = four_string_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-  ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  ASSERT_TRUE(session.try_commit(2, {0, 0}));
-  session.uncommit(2);
-  session.uncommit(1);
-  ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  ASSERT_TRUE(session.try_commit(2, {0, 0}));
-
-  AllocationSession fresh(m);
-  ASSERT_TRUE(fresh.try_commit(0, {0, 1}));
-  ASSERT_TRUE(fresh.try_commit(1, {1, 0}));
-  ASSERT_TRUE(fresh.try_commit(2, {0, 0}));
-  expect_states_identical(session, fresh, m);
-}
-
-TEST(Session, NonLifoRecommitMatchesReorderedHistory) {
-  // Removing the oldest string and re-adding it moves its entries to the end
-  // of the resident lists, so the state must equal a history that committed
-  // it last (resource sums are pure functions of the resident-list order).
-  const SystemModel m = four_string_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-  ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  ASSERT_TRUE(session.try_commit(2, {0, 0}));
-  session.uncommit(0);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-
-  AllocationSession fresh(m);
-  ASSERT_TRUE(fresh.try_commit(1, {1, 0}));
-  ASSERT_TRUE(fresh.try_commit(2, {0, 0}));
-  ASSERT_TRUE(fresh.try_commit(0, {0, 1}));
-  expect_states_identical(session, fresh, m);
-}
-
-TEST(Session, UncommitAllMatchesSequentialUncommits) {
-  const SystemModel m = four_string_system();
-  AllocationSession batched(m);
-  AllocationSession sequential(m);
-  for (AllocationSession* s : {&batched, &sequential}) {
-    ASSERT_TRUE(s->try_commit(0, {0, 1}));
-    ASSERT_TRUE(s->try_commit(1, {1, 0}));
-    ASSERT_TRUE(s->try_commit(2, {0, 0}));
-    ASSERT_TRUE(s->try_commit(3, {1, 1}));
-  }
-  const std::vector<model::StringId> suffix{2, 3};
-  batched.uncommit_all(suffix);
-  sequential.uncommit(3);
-  sequential.uncommit(2);
-  expect_states_identical(batched, sequential, m);
-
-  AllocationSession fresh(m);
-  ASSERT_TRUE(fresh.try_commit(0, {0, 1}));
-  ASSERT_TRUE(fresh.try_commit(1, {1, 0}));
-  expect_states_identical(batched, fresh, m);
 }
 
 TEST(Session, SessionResultMatchesBatchFeasibility) {

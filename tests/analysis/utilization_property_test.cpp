@@ -1,5 +1,5 @@
 /// Property test for the arena-backed UtilizationState (DESIGN.md §12):
-/// random interleaved add_string / remove_strings / snapshot / restore
+/// random interleaved add_string / remove_string / snapshot / restore
 /// sequences must stay bit-identical to a from-scratch from_allocation
 /// rebuild that replays the surviving deployment order.  Every utilization is
 /// maintained as a left fold over its resident slab, so the live state, the
@@ -99,10 +99,10 @@ class Driver {
       }
     }
     if (subset.empty()) return;
-    // remove_strings reads the assignments, so the shadow allocation is
+    // remove_string reads the assignment, so the shadow allocation is
     // cleared only after the call.
-    util_.remove_strings(alloc_, subset);
     for (const StringId k : subset) {
+      util_.remove_string(alloc_, k);
       alloc_.set_deployed(k, false);
       alloc_.clear_string(k);
     }

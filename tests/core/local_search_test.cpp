@@ -6,7 +6,6 @@
 
 #include "analysis/feasibility.hpp"
 #include "core/decode.hpp"
-#include "core/ordered.hpp"
 #include "workload/generator.hpp"
 
 namespace tsce::core {
@@ -52,44 +51,6 @@ TEST(HillClimb, NeverWorseThanItsOwnStartingPoints) {
   restart_rng.shuffle(start);
   const auto start_fitness = decode_order(m, start).fitness;
   EXPECT_FALSE(result.fitness < start_fitness);
-}
-
-TEST(HillClimb, LpGuidedStartDominatesTheGuidedSeed) {
-  // Restart 0 climbs from lp_guided_order; first-improvement climbing never
-  // accepts a worse order, so the result dominates the seed's decode.
-  const SystemModel m = contended(8);
-  HillClimbOptions options;
-  options.restarts = 1;
-  options.max_evaluations = 200;
-  options.lp_guided_start = true;
-  util::Rng rng(9);
-  const auto result = HillClimb(options).allocate(m, rng);
-  const auto seed_fitness = decode_order(m, lp_guided_order(m)).fitness;
-  EXPECT_FALSE(result.fitness < seed_fitness);
-  EXPECT_TRUE(analysis::check_feasibility(m, result.allocation).feasible());
-}
-
-TEST(HillClimb, LpGuidedStartLeavesOtherRestartsUnchanged) {
-  // The guided start replaces only restart 0's shuffled order; every restart
-  // owns an index-derived stream, so restarts 1..N-1 see identical streams
-  // with the option on or off.
-  const SystemModel m = contended(10);
-  HillClimbOptions base;
-  base.restarts = 3;
-  base.max_evaluations = 300;
-  HillClimbOptions guided = base;
-  guided.lp_guided_start = true;
-  util::Rng rng_a(11), rng_b(11);
-  const auto plain = HillClimb(base).allocate(m, rng_a);
-  const auto with_guide = HillClimb(guided).allocate(m, rng_b);
-  // Both dominate-or-equal is not guaranteed per-restart, but the guided run
-  // can only differ through restart 0, whose start dominates a random one as
-  // often as not; assert the shared invariant instead: both are feasible and
-  // the guided run is never worse than the guided seed itself.
-  EXPECT_TRUE(analysis::check_feasibility(m, plain.allocation).feasible());
-  EXPECT_TRUE(analysis::check_feasibility(m, with_guide.allocation).feasible());
-  const auto seed_fitness = decode_order(m, lp_guided_order(m)).fitness;
-  EXPECT_FALSE(with_guide.fitness < seed_fitness);
 }
 
 TEST(HillClimb, RespectsEvaluationBudget) {

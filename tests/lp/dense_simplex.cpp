@@ -104,7 +104,7 @@ class DenseSolver : private SolverBase {
 
       // Pricing: entering column with the most attractive reduced cost.
       std::ptrdiff_t enter = -1;
-      double best_score = options_.optimality_tol;
+      double best_score = kOptimalityTol;
       int enter_dir = 0;
       for (std::size_t j = 0; j < a_.cols; ++j) {
         if (vstat_[j] == VarStatus::kBasic) continue;
@@ -115,10 +115,10 @@ class DenseSolver : private SolverBase {
         }
         int dir = 0;
         double score = 0.0;
-        if (vstat_[j] == VarStatus::kAtLower && d < -options_.optimality_tol) {
+        if (vstat_[j] == VarStatus::kAtLower && d < -kOptimalityTol) {
           dir = +1;
           score = -d;
-        } else if (vstat_[j] == VarStatus::kAtUpper && d > options_.optimality_tol) {
+        } else if (vstat_[j] == VarStatus::kAtUpper && d > kOptimalityTol) {
           dir = -1;
           score = d;
         } else {
@@ -157,7 +157,7 @@ class DenseSolver : private SolverBase {
       int leave_to_upper = 0;
       for (std::size_t i = 0; i < m_; ++i) {
         const double rate = sigma * w[i];
-        if (std::abs(rate) <= options_.pivot_tol) continue;
+        if (std::abs(rate) <= kPivotTol) continue;
         const auto b = static_cast<std::size_t>(basis_[i]);
         double ratio;
         int hits_upper;
@@ -193,7 +193,7 @@ class DenseSolver : private SolverBase {
       }
 
       if (!std::isfinite(t_limit)) return SolveStatus::kUnbounded;
-      degenerate_run = t_limit <= options_.pivot_tol ? degenerate_run + 1 : 0;
+      degenerate_run = t_limit <= kPivotTol ? degenerate_run + 1 : 0;
 
       if (leave_row < 0) {
         // Bound flip: the entering variable traverses its whole range.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "core/ordered.hpp"
 #include "testing/builders.hpp"
@@ -130,6 +132,109 @@ TEST(Serialization, DeployedButUnmappedThrows) {
     if (key == "deployed") value.as_array()[0] = util::Json(true);
   }
   EXPECT_THROW((void)allocation_from_json(json, m), std::runtime_error);
+}
+
+/// A one-string, two-machine model as JSON text, with the fields the loader
+/// must check spliced in verbatim.
+struct ModelText {
+  std::string machines = "2";
+  std::string bandwidth = "8";
+  std::string period = "10";
+  std::string latency = "30";
+  std::string worth = "100";
+  std::string time = "2";
+  std::string output = "100";
+
+  [[nodiscard]] std::string str() const {
+    return R"({"format": "tsce-model-v1", "machines": )" + machines +
+           R"(, "bandwidth_mbps": [[null, )" + bandwidth + R"(], [8, null]],)" +
+           R"( "strings": [{"period_s": )" + period + R"(, "max_latency_s": )" +
+           latency + R"(, "worth": )" + worth + R"(, "apps": [{"time_s": [)" +
+           time + R"(, 3], "util": [0.5, 0.5], "output_kbytes": )" + output +
+           "}]}]}";
+  }
+};
+
+/// Loading \p text must throw with a message that names \p what.
+void expect_model_rejected(const std::string& text, const std::string& what) {
+  try {
+    (void)system_model_from_json(util::Json::parse(text));
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << "message '" << e.what() << "' does not name " << what;
+  }
+}
+
+TEST(Serialization, LoadsTheBaseModelText) {
+  const SystemModel m = system_model_from_json(util::Json::parse(ModelText{}.str()));
+  EXPECT_EQ(m.num_machines(), 2u);
+  EXPECT_EQ(m.strings[0].worth, Worth::kHigh);
+  // null is +inf on purpose, and so is an overflowing literal: bandwidth may
+  // be unlimited.
+  ModelText inf_bandwidth;
+  inf_bandwidth.bandwidth = "1e999";
+  EXPECT_EQ(system_model_from_json(util::Json::parse(inf_bandwidth.str()))
+                .network.bandwidth_mbps(0, 1),
+            kInfiniteBandwidth);
+}
+
+TEST(Serialization, RejectsNonFiniteModelNumbers) {
+  for (const char* bad : {"1e999", "-1e999"}) {
+    SCOPED_TRACE(bad);
+    ModelText t;
+    t.period = bad;
+    expect_model_rejected(t.str(), "period");
+    t = {};
+    t.latency = bad;
+    expect_model_rejected(t.str(), "max latency");
+    t = {};
+    t.time = bad;
+    expect_model_rejected(t.str(), "time on machine 0");
+    t = {};
+    t.output = bad;
+    expect_model_rejected(t.str(), "output");
+  }
+}
+
+TEST(Serialization, RejectsWorthThatIsNotAnIntegerInRange) {
+  for (const char* bad : {"1e999", "-1e999", "1e10", "-3e9", "10.5", "2.7", "0", "7"}) {
+    SCOPED_TRACE(bad);
+    ModelText t;
+    t.worth = bad;
+    expect_model_rejected(t.str(), "worth");
+  }
+}
+
+TEST(Serialization, RejectsMachineCountThatIsNotAnIntegerInRange) {
+  for (const char* bad : {"1e999", "-1e999", "-1", "2.5", "1e30"}) {
+    SCOPED_TRACE(bad);
+    ModelText t;
+    t.machines = bad;
+    expect_model_rejected(t.str(), "machines");
+  }
+  // A whole count that disagrees with the matrix is a shape error, caught
+  // before the network is sized.
+  ModelText t;
+  t.machines = "2000000000";
+  expect_model_rejected(t.str(), "bandwidth_mbps");
+}
+
+TEST(Serialization, RejectsMappingEntriesThatAreNotMachineIds) {
+  const SystemModel m = testing::two_machine_system();
+  for (const char* bad : {"1e999", "-1e999", "-0.5", "2.7", "2", "-2", "4e9", "\"1\""}) {
+    SCOPED_TRACE(bad);
+    const std::string text =
+        R"({"format": "tsce-allocation-v1", "mapping": [[0, )" + std::string(bad) +
+        R"(], [1, 1]], "deployed": [false, true]})";
+    try {
+      (void)allocation_from_json(util::Json::parse(text), m);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("mapping entry 0.1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Serialization, FileRoundTrip) {
