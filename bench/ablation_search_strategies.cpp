@@ -49,6 +49,13 @@ int main(int argc, char** argv) {
   flags.add("csv", &csv, "emit CSV");
   flags.add("trace", &trace_path, "write span/event JSONL trace to this path");
   if (!flags.parse(argc, argv)) return 0;
+  // Every GENITOR population is budget/4 strong, so the budget must be >= 4.
+  if (!util::flag_at_least("machines", machines, 1) ||
+      !util::flag_at_least("strings", strings, 1) ||
+      !util::flag_at_least("runs", runs, 1) ||
+      !util::flag_at_least("budget", budget, 4)) {
+    return 1;
+  }
 
   bool tracing = false;
   if (!trace_path.empty()) {
@@ -78,7 +85,6 @@ int main(int argc, char** argv) {
   psg_options.ga.stagnation_limit = psg_options.ga.max_iterations;
   psg_options.trials = 1;
   core::HillClimbOptions hc_options;
-  hc_options.restarts = 4;
   hc_options.max_evaluations = b;
   core::AnnealingOptions sa_options;
   sa_options.iterations = b;

@@ -29,6 +29,8 @@ int main(int argc, char** argv) {
     if (!flags.parse(argc, argv)) return 0;
   }
 
+  if (!config.validate()) return 1;
+
   std::printf("== Figure 4: total worth, scenario 2 (QoS-limited) ==\n");
   std::printf("M=%lld machines, Q=%lld strings, %lld runs\n\n",
               static_cast<long long>(config.machines),

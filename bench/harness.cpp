@@ -1,6 +1,5 @@
 #include "harness.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -56,6 +55,19 @@ void ScenarioBenchConfig::register_flags(util::Flags& flags) {
   flags.add("fr-decode-watermark-ns", &fr_decode_watermark_ns,
             "decode latency (ns) above which the recorder rings are written "
             "into the --trace file (0 = off)");
+}
+
+bool ScenarioBenchConfig::validate() const {
+  return util::flag_at_least("machines", machines, 1) &&
+         util::flag_at_least("strings", strings, 1) &&
+         util::flag_at_least("runs", runs, 1) &&
+         util::flag_at_least("psg-population", psg_population, 1) &&
+         util::flag_at_least("psg-iterations", psg_iterations, 0) &&
+         util::flag_at_least("psg-stagnation", psg_stagnation, 0) &&
+         util::flag_at_least("psg-trials", psg_trials, 1) &&
+         util::flag_at_least("threads", threads, 0) &&
+         util::flag_at_least("metrics-period-ms", metrics_period_ms, 1) &&
+         util::flag_at_least("fr-decode-watermark-ns", fr_decode_watermark_ns, 0);
 }
 
 void ScenarioBenchConfig::apply_full_scale(workload::Scenario s) {
@@ -126,8 +138,7 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
   if (!config.metrics_series_path.empty()) {
     obs::MetricsExporterConfig ex;
     ex.path = config.metrics_series_path;
-    ex.period_ms = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(1, config.metrics_period_ms));
+    ex.period_ms = static_cast<std::uint32_t>(config.metrics_period_ms);
     exporter = std::make_unique<obs::MetricsExporter>(ex);
     if (!exporter->start()) {
       std::fprintf(stderr, "warning: could not open metrics series '%s'\n",
@@ -175,7 +186,17 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
   };
   std::vector<RunOutcome> outcomes(runs);
 
-  auto execute_run = [&](std::size_t run) {
+  std::unique_ptr<util::ThreadPool> pool;
+  if (config.threads != 1 && runs > 1) {
+    pool = std::make_unique<util::ThreadPool>(
+        static_cast<std::size_t>(config.threads));
+  }
+  // Monte-Carlo runs share one scenario shape, so one solver per worker slot
+  // reuses the assembled LpProblem's buffers instead of rebuilding the LP
+  // from scratch each run.  Every solve starts cold, so a run's bound never
+  // depends on which runs its slot executed before.
+  std::vector<lp::UpperBoundSolver> ub_solvers(pool ? pool->size() : 1);
+  util::for_each_index(pool.get(), runs, [&](std::size_t slot, std::size_t run) {
     RunOutcome& out = outcomes[run];
     const model::SystemModel m =
         workload::generate(gen_config, plans[run].instance_rng);
@@ -196,31 +217,15 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
     }
     if (config.with_upper_bound) {
       obs::Span span(obs::names::kBenchUb, {{"phase", "UB"}, {"run", std::uint64_t{run}}});
-      // Monte-Carlo runs share one scenario shape, so one solver per worker
-      // thread reuses the assembled LpProblem's buffers instead of rebuilding
-      // the LP from scratch each run.  Warm starts stay OFF: chaining bases
-      // across runs would make each solve's pivot path depend on which runs
-      // a thread happened to execute, breaking the documented thread-count
-      // independence of the harness metrics.
-      thread_local lp::UpperBoundSolver ub_solver;
       const double t0 = now_seconds();
-      const auto ub =
-          slackness_metric ? ub_solver.slackness(m) : ub_solver.worth(m);
+      const auto ub = slackness_metric ? ub_solvers[slot].slackness(m)
+                                       : ub_solvers[slot].worth(m);
       out.ub_seconds = now_seconds() - t0;
       out.ub_status = ub.status;
       out.ub_value = ub.value;
       span.add("metric", out.ub_value);
     }
-  };
-
-  if (config.threads == 1 || runs <= 1) {
-    for (std::size_t run = 0; run < runs; ++run) execute_run(run);
-  } else {
-    util::ThreadPool pool(config.threads <= 0
-                              ? 0
-                              : static_cast<std::size_t>(config.threads));
-    pool.parallel_for(runs, execute_run);
-  }
+  });
 
   // Fold per-run metrics serially, in run order, for thread-count-independent
   // statistics.
@@ -242,8 +247,8 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
     }
   }
 
-  // Worker threads (if any) were joined when the pool left scope above, so
-  // every thread buffer is quiescent here.
+  // Join the workers (if any) so every thread buffer is quiescent.
+  pool.reset();
   if (tracing) obs::trace_close();
   if (exporter != nullptr) exporter->stop();
   if (!config.metrics_path.empty()) {

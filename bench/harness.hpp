@@ -68,6 +68,9 @@ struct ScenarioBenchConfig {
 
   /// Registers the shared flags on \p flags (pointers into this object).
   void register_flags(util::Flags& flags);
+  /// Rejects out-of-range counts before anything casts them to size_t:
+  /// prints "error: --<flag> must be >= N" to stderr and returns false.
+  [[nodiscard]] bool validate() const;
   /// Applies --full: paper-scale machines/strings/runs/PSG budget.
   void apply_full_scale(workload::Scenario scenario);
   /// PSG options assembled from the flag fields.

@@ -189,7 +189,6 @@ void BM_AnnealTempering(benchmark::State& state) {
   core::AnnealingOptions options;
   options.iterations = 4000;
   options.replicas = 4;
-  options.exchange_interval = 64;
   options.threads = static_cast<std::size_t>(state.range(0));
   const core::SimulatedAnnealing search(options);
   std::size_t evaluations = 0;

@@ -76,6 +76,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --scenario must be 1, 2 or 3\n");
     return 1;
   }
+  if (!util::flag_at_least("machines", machines, 1) ||
+      !util::flag_at_least("strings", strings, 1) ||
+      !util::flag_at_least("max-apps", max_apps, 1) ||
+      !util::flag_at_least("psg-iterations", psg_iterations, 0)) {
+    return 1;
+  }
 
   model::SystemModel m;
   if (!load_model_path.empty()) {

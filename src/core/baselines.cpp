@@ -90,21 +90,11 @@ AssignmentProblem::Chromosome AssignmentProblem::random_chromosome(
 AllocatorResult SolutionSpaceGa::allocate(const SystemModel& model,
                                           util::Rng& rng) const {
   const AssignmentProblem problem(model);
-  AllocatorResult best;
-  bool have_best = false;
-  std::size_t total_evaluations = 0;
-  for (std::size_t trial = 0; trial < std::max<std::size_t>(1, options_.trials);
-       ++trial) {
-    util::Rng trial_rng = rng.spawn();
-    genitor::Genitor<AssignmentProblem> ga(problem, options_.ga);
-    auto ga_result = ga.run(trial_rng);
-    total_evaluations += ga_result.evaluations;
-    if (!have_best || best.fitness < ga_result.best_fitness) {
-      best = problem.project(ga_result.best);
-      have_best = true;
-    }
-  }
-  best.evaluations = total_evaluations;
+  util::Rng trial_rng = rng.spawn();
+  genitor::Genitor<AssignmentProblem> ga(problem, options_.ga);
+  const auto ga_result = ga.run(trial_rng);
+  AllocatorResult best = problem.project(ga_result.best);
+  best.evaluations = ga_result.evaluations;
   return best;
 }
 

@@ -61,7 +61,6 @@ struct SolutionSpaceGaOptions {
                      .bias = 1.6,
                      .max_iterations = 5000,
                      .stagnation_limit = 300};
-  std::size_t trials = 1;
 };
 
 class SolutionSpaceGa final : public Allocator {

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <span>
 
 #include "core/decode.hpp"
-#include "core/evaluator.hpp"
 #include "genitor/genitor.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
@@ -22,35 +20,19 @@ namespace {
 /// the frozen base order followed by the class ordering.  Every candidate
 /// shares the frozen base as a prefix, so the context-based decode reuses it
 /// across the whole search instead of re-deploying it per evaluation.
-/// Satisfies genitor::BatchProblem: evaluate_batch() fans candidate sets
-/// (the initial population) out across the BatchEvaluator's workers, with
-/// byte-identical results at any eval_threads count.
 class ClassOrderProblem {
  public:
   using Chromosome = std::vector<StringId>;
   using Fitness = analysis::Fitness;
 
   ClassOrderProblem(const SystemModel& model, const std::vector<StringId>& base,
-                    std::vector<StringId> members, std::size_t eval_threads)
-      : base_(&base), members_(std::move(members)),
-        evaluator_(model, eval_threads) {}
+                    std::vector<StringId> members)
+      : base_(&base), members_(std::move(members)), ctx_(model) {}
 
   [[nodiscard]] Fitness evaluate(const Chromosome& order) const {
     full_.assign(base_->begin(), base_->end());
     full_.insert(full_.end(), order.begin(), order.end());
-    return decode_fitness_into(evaluator_.context(0), full_);
-  }
-
-  [[nodiscard]] std::vector<Fitness> evaluate_batch(
-      std::span<const Chromosome> batch) const {
-    std::vector<Chromosome> full_orders(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      full_orders[i].reserve(base_->size() + batch[i].size());
-      full_orders[i].assign(base_->begin(), base_->end());
-      full_orders[i].insert(full_orders[i].end(), batch[i].begin(),
-                            batch[i].end());
-    }
-    return evaluator_.evaluate_fitness(full_orders);
+    return decode_fitness_into(ctx_, full_);
   }
 
   [[nodiscard]] static std::pair<Chromosome, Chromosome> crossover(
@@ -71,7 +53,7 @@ class ClassOrderProblem {
  private:
   const std::vector<StringId>* base_;
   std::vector<StringId> members_;
-  mutable BatchEvaluator evaluator_;
+  mutable DecodeContext ctx_;
   mutable std::vector<StringId> full_;
 };
 
@@ -103,35 +85,25 @@ AllocatorResult ClassBasedAllocator::allocate(const SystemModel& model,
       best_class_order = members;
       ++evaluations;
     } else {
-      const ClassOrderProblem problem(model, committed, members,
-                                      options_.eval_threads);
+      const ClassOrderProblem problem(model, committed, members);
       genitor::Config config = options_.ga;
       config.population_size = std::min<std::size_t>(
           config.population_size, std::max<std::size_t>(4, members.size() * 4));
       genitor::Genitor<ClassOrderProblem> ga(problem, config);
-      analysis::Fitness best_fitness{};
-      bool have_best = false;
       const std::size_t trace_class = class_index - 1;
-      for (std::size_t trial = 0; trial < std::max<std::size_t>(1, options_.trials);
-           ++trial) {
-        util::Rng trial_rng = rng.spawn();
-        auto ga_result = ga.run(
-            trial_rng, {},
-            [&](std::size_t iteration, const analysis::Fitness& elite) {
-              obs::trace_event(obs::names::kSearchImprove,
-                               {{"phase", "ClassBased"},
-                                {"trial", std::uint64_t{trace_class}},
-                                {"iteration", std::uint64_t{iteration}},
-                                {"worth", elite.total_worth},
-                                {"slackness", elite.slackness}});
-            });
-        evaluations += ga_result.evaluations;
-        if (!have_best || best_fitness < ga_result.best_fitness) {
-          best_fitness = ga_result.best_fitness;
-          best_class_order = std::move(ga_result.best);
-          have_best = true;
-        }
-      }
+      util::Rng class_rng = rng.spawn();
+      auto ga_result = ga.run(
+          class_rng, {},
+          [&](std::size_t iteration, const analysis::Fitness& elite) {
+            obs::trace_event(obs::names::kSearchImprove,
+                             {{"phase", "ClassBased"},
+                              {"trial", std::uint64_t{trace_class}},
+                              {"iteration", std::uint64_t{iteration}},
+                              {"worth", elite.total_worth},
+                              {"slackness", elite.slackness}});
+          });
+      evaluations += ga_result.evaluations;
+      best_class_order = std::move(ga_result.best);
     }
 
     // Freeze the deployed prefix of the class: strings the decode rejected

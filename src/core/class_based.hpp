@@ -6,7 +6,7 @@
 /// implemented here as an extension).
 ///
 /// ClassBasedAllocator partitions the strings into worth classes (high=100,
-/// medium=10, low=1), runs an inner permutation search *within* each class in
+/// medium=10, low=1), runs one inner GENITOR search *within* each class in
 /// descending class order, and freezes each class's deployment before moving
 /// on.  Compared with the flat PSG, this guarantees class-priority at the
 /// cost of global ordering freedom (ablation bench E12).
@@ -26,12 +26,6 @@ struct ClassBasedOptions {
                      .bias = 1.6,
                      .max_iterations = 200,
                      .stagnation_limit = 100};
-  std::size_t trials = 1;
-  /// Worker threads for batched candidate evaluation inside each per-class
-  /// GENITOR search (the initial population fan-out), mirroring
-  /// PsgOptions::eval_threads.  1 (default) runs inline with no pool; results
-  /// are byte-identical at any thread count (BatchEvaluator contract).
-  std::size_t eval_threads = 1;
 };
 
 class ClassBasedAllocator final : public Allocator {

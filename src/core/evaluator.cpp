@@ -15,19 +15,6 @@ BatchEvaluator::BatchEvaluator(const model::SystemModel& model, std::size_t thre
   if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
 }
 
-std::vector<DecodeOutcome> BatchEvaluator::evaluate(
-    std::span<const std::vector<model::StringId>> orders) {
-  std::vector<DecodeOutcome> outcomes(orders.size());
-  for_each(orders.size(), [&](std::size_t i, DecodeContext& ctx) {
-    outcomes[i] = decode_order_into(ctx, orders[i]);
-    // prefix_reused depends on what this worker's context evaluated before,
-    // i.e. on the work schedule; strip it so batch results are byte-identical
-    // at any thread count (reuse totals stay readable via the contexts).
-    outcomes[i].prefix_reused = 0;
-  });
-  return outcomes;
-}
-
 std::vector<analysis::Fitness> BatchEvaluator::evaluate_fitness(
     std::span<const std::vector<model::StringId>> orders) {
   std::vector<analysis::Fitness> fitness(orders.size());

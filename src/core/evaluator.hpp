@@ -2,8 +2,8 @@
 /// Batch-parallel candidate evaluation for the permutation searches.
 ///
 /// BatchEvaluator owns a util::ThreadPool and one DecodeContext per worker.
-/// Work items are pulled from a shared atomic cursor, but every result slot
-/// is written by index, and the prefix-reuse decode is bit-exact regardless
+/// Work items are spread by util::for_each_index, but every result slot is
+/// written by index, and the prefix-reuse decode is bit-exact regardless
 /// of what a worker's context evaluated before (see decode.hpp) — so the
 /// output is byte-identical at 1 thread and at N threads, for any work
 /// schedule.  Determinism contract: anything randomized inside a work item
@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -36,12 +35,8 @@ class BatchEvaluator {
   /// Worker w's context (w < num_workers()).  Serial callers share worker 0.
   [[nodiscard]] DecodeContext& context(std::size_t w) noexcept { return *contexts_[w]; }
 
-  /// Decodes every order; result i is bit-identical to decode_order(model,
-  /// orders[i]) at any thread count.
-  [[nodiscard]] std::vector<DecodeOutcome> evaluate(
-      std::span<const std::vector<model::StringId>> orders);
-
-  /// Fitness-only convenience over evaluate().
+  /// Decodes every order for its fitness; result i is bit-identical to
+  /// decode_order(model, orders[i]).fitness at any thread count.
   [[nodiscard]] std::vector<analysis::Fitness> evaluate_fitness(
       std::span<const std::vector<model::StringId>> orders);
 
@@ -51,23 +46,10 @@ class BatchEvaluator {
   /// must come from util::Rng::stream(seed, item).
   template <typename Fn>
   void for_each(std::size_t count, Fn&& fn) {
-    if (!pool_) {
-      for (std::size_t i = 0; i < count; ++i) fn(i, *contexts_[0]);
-      return;
-    }
-    std::atomic<std::size_t> cursor{0};
-    std::vector<std::future<void>> done;
-    done.reserve(contexts_.size());
-    for (std::size_t w = 0; w < contexts_.size(); ++w) {
-      done.push_back(pool_->submit([this, w, count, &cursor, &fn] {
-        DecodeContext& ctx = *contexts_[w];
-        for (std::size_t i = cursor.fetch_add(1); i < count;
-             i = cursor.fetch_add(1)) {
-          fn(i, ctx);
-        }
-      }));
-    }
-    for (auto& f : done) f.get();  // rethrows the first worker exception
+    util::for_each_index(pool_.get(), count,
+                         [this, &fn](std::size_t slot, std::size_t i) {
+                           fn(i, *contexts_[slot]);
+                         });
   }
 
  private:

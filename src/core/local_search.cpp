@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/decode.hpp"
-#include "core/evaluator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
@@ -23,6 +22,13 @@ namespace {
 
 /// Neighbor evaluations per climb step before giving up on an improvement.
 constexpr std::size_t kMaxNeighborsPerStep = 64;
+/// Random restarts of every hill climb; the best local optimum wins.
+constexpr std::size_t kHillClimbRestarts = 4;
+/// Initial temperature of the coldest annealing replica, as a fraction of
+/// the instance's available worth.
+constexpr double kAnnealInitialTemperatureFrac = 0.1;
+/// Metropolis steps per replica between tempering exchange barriers.
+constexpr std::size_t kAnnealExchangeInterval = 64;
 /// Geometric cooling rate per Metropolis step of every annealing replica.
 constexpr double kAnnealCooling = 0.998;
 /// Temperature ratio between adjacent replicas of the tempering ladder.
@@ -64,50 +70,37 @@ DecodeOutcome climb(DecodeContext& ctx, std::vector<StringId>& current,
 }  // namespace
 
 AllocatorResult HillClimb::allocate(const SystemModel& model, util::Rng& rng) const {
-  // Restarts are independent, so each gets its own worker context, an
-  // index-derived rng stream, and an equal slice of the budget; the result
-  // is byte-identical at any thread count.  Every restart decodes at least
-  // once, so a budget caps the restart count.
-  std::size_t restarts = std::max<std::size_t>(1, options_.restarts);
+  // Restarts run one after another on one decode context, each from an
+  // index-derived rng stream with an equal slice of the budget.  Every
+  // restart decodes at least once, so a budget caps the restart count.  Ties
+  // go to the lowest restart index.
+  std::size_t restarts = kHillClimbRestarts;
   if (options_.max_evaluations != 0) {
     restarts = std::min(restarts, options_.max_evaluations);
   }
   const std::size_t slice =
       options_.max_evaluations == 0 ? 0 : options_.max_evaluations / restarts;
   const std::uint64_t base_seed = rng();
-  struct Restart {
-    Fitness fitness;
-    std::vector<StringId> order;
-    std::size_t evaluations = 0;
-  };
-  std::vector<Restart> outcomes(restarts);
-  BatchEvaluator evaluator(model, options_.threads);
-  evaluator.for_each(restarts, [&](std::size_t r, DecodeContext& ctx) {
+  DecodeContext ctx(model);
+  Fitness best_fitness{};
+  std::vector<StringId> best_order;
+  bool have_best = false;
+  std::size_t evaluations = 0;
+  for (std::size_t r = 0; r < restarts; ++r) {
     obs::Span span(obs::names::kSearchRestart,
                    {{"phase", "HillClimb"}, {"restart", std::uint64_t{r}}});
     util::Rng restart_rng = util::Rng::stream(base_seed, r);
     std::vector<StringId> current = identity_order(model);
     restart_rng.shuffle(current);
+    std::size_t restart_evaluations = 0;
     const DecodeOutcome optimum =
-        climb(ctx, current, restart_rng, outcomes[r].evaluations, slice);
-    outcomes[r].fitness = optimum.fitness;
-    outcomes[r].order = std::move(current);
-    span.add("evaluations", static_cast<double>(outcomes[r].evaluations));
+        climb(ctx, current, restart_rng, restart_evaluations, slice);
+    span.add("evaluations", static_cast<double>(restart_evaluations));
     span.add("worth", static_cast<double>(optimum.fitness.total_worth));
-  });
-
-  // The fold is serial and walks restarts in index order (ties go to the
-  // lowest index); improvement events carry the restart index, so post-hoc
-  // ordering matches the parallel execution.
-  Fitness best_fitness{};
-  std::vector<StringId> best_order;
-  bool have_best = false;
-  std::size_t evaluations = 0;
-  for (std::size_t r = 0; r < outcomes.size(); ++r) {
-    evaluations += outcomes[r].evaluations;
-    if (!have_best || best_fitness < outcomes[r].fitness) {
-      best_fitness = outcomes[r].fitness;
-      best_order = outcomes[r].order;
+    evaluations += restart_evaluations;
+    if (!have_best || best_fitness < optimum.fitness) {
+      best_fitness = optimum.fitness;
+      best_order = std::move(current);
       have_best = true;
       obs::trace_event(obs::names::kSearchImprove,
                        {{"phase", "HillClimb"},
@@ -119,9 +112,7 @@ AllocatorResult HillClimb::allocate(const SystemModel& model, util::Rng& rng) co
 
   AllocatorResult best;
   best.fitness = best_fitness;
-  DecodeContext replay_ctx(model);
-  best.allocation = replay_ctx.materialize(decode_order_into(replay_ctx, best_order))
-                        .allocation;
+  best.allocation = ctx.materialize(decode_order_into(ctx, best_order)).allocation;
   best.order = std::move(best_order);
   best.evaluations = evaluations;
   return best;
@@ -194,9 +185,8 @@ void temper_steps(TemperReplica& rep, std::size_t steps) {
 AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
                                              util::Rng& rng) const {
   const std::size_t replicas = std::max<std::size_t>(1, options_.replicas);
-  const double t0 = options_.initial_temperature > 0.0
-                        ? options_.initial_temperature
-                        : 0.1 * std::max(1, model.total_worth_available());
+  const double t0 = kAnnealInitialTemperatureFrac *
+                    std::max(1, model.total_worth_available());
   const std::uint64_t base_seed = rng();
   // Streams 0..replicas-1 drive the replicas; stream `replicas` is reserved
   // for the exchange decisions so it can never collide with a replica's.
@@ -231,13 +221,6 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
       std::min(util::resolve_thread_count(options_.threads), replicas);
   std::unique_ptr<util::ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<util::ThreadPool>(workers);
-  auto run_parallel = [&](auto&& fn) {
-    if (pool) {
-      pool->for_each_index(replicas, fn);
-    } else {
-      for (std::size_t r = 0; r < replicas; ++r) fn(r);
-    }
-  };
 
   Fitness best_fitness{};
   std::vector<StringId> best_order;
@@ -265,7 +248,7 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
 
   // Initial decode of every replica's shuffled start order (one evaluation
   // each), in parallel.
-  run_parallel([&](std::size_t r) {
+  util::for_each_index(pool.get(), replicas, [&](std::size_t, std::size_t r) {
     TemperReplica& rep = reps[r];
     rep.fitness = decode_order_into(*rep.ctx, rep.order).fitness;
     ++rep.evaluations;
@@ -284,52 +267,46 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
     obs::Span sweep_span(
         obs::names::kSearchTemperSweep,
         {{"phase", "Annealing"}, {"sweep", std::uint64_t{sweep}}});
-    run_parallel([&](std::size_t r) {
+    util::for_each_index(pool.get(), replicas, [&](std::size_t, std::size_t r) {
       TemperReplica& rep = reps[r];
       if (rep.remaining == 0) return;
       obs::Span rep_span(obs::names::kSearchTemperReplica,
                          {{"phase", "Annealing"},
                           {"replica", std::uint64_t{r}},
                           {"sweep", std::uint64_t{sweep}}});
-      const std::size_t steps = options_.exchange_interval == 0
-                                    ? rep.remaining
-                                    : std::min(options_.exchange_interval,
-                                               rep.remaining);
-      temper_steps(rep, steps);
+      temper_steps(rep, std::min(kAnnealExchangeInterval, rep.remaining));
       rep_span.add("temperature", rep.temperature);
       rep_span.add("worth", static_cast<double>(rep.fitness.total_worth));
     });
     sweeps_total.add(1);
 
-    if (options_.exchange_interval != 0 && replicas >= 2) {
-      // Adjacent-pair exchange with alternating parity: pairs (0,1),(2,3),..
-      // on even sweeps, (1,2),(3,4),.. on odd ones.  The swap draw is always
-      // consumed so the exchange stream's position never depends on the
-      // energies.
-      for (std::size_t i = sweep % 2; i + 1 < replicas; i += 2) {
-        TemperReplica& cold = reps[i];
-        TemperReplica& hot = reps[i + 1];
-        const double u = exchange_rng.uniform();
-        const double beta_cold = 1.0 / std::max(cold.temperature, 1e-9);
-        const double beta_hot = 1.0 / std::max(hot.temperature, 1e-9);
-        // Maximization form of the tempering swap rule: always swap when the
-        // hotter replica holds the better state, otherwise with probability
-        // exp((beta_cold - beta_hot) * (E_hot - E_cold)) < 1.
-        const double delta =
-            (beta_cold - beta_hot) * (energy(hot.fitness) - energy(cold.fitness));
-        const bool swapped = delta >= 0.0 || u < std::exp(delta);
-        exchanges_total.add(1);
-        if (swapped) {
-          std::swap(cold.order, hot.order);
-          std::swap(cold.fitness, hot.fitness);
-          swaps_total.add(1);
-        }
-        obs::trace_event(obs::names::kSearchTemperExchange,
-                         {{"phase", "Annealing"},
-                          {"sweep", std::uint64_t{sweep}},
-                          {"pair", std::uint64_t{i}},
-                          {"accepted", swapped ? 1 : 0}});
+    // Adjacent-pair exchange with alternating parity: pairs (0,1),(2,3),..
+    // on even sweeps, (1,2),(3,4),.. on odd ones.  The swap draw is always
+    // consumed so the exchange stream's position never depends on the
+    // energies.
+    for (std::size_t i = sweep % 2; i + 1 < replicas; i += 2) {
+      TemperReplica& cold = reps[i];
+      TemperReplica& hot = reps[i + 1];
+      const double u = exchange_rng.uniform();
+      const double beta_cold = 1.0 / std::max(cold.temperature, 1e-9);
+      const double beta_hot = 1.0 / std::max(hot.temperature, 1e-9);
+      // Maximization form of the tempering swap rule: always swap when the
+      // hotter replica holds the better state, otherwise with probability
+      // exp((beta_cold - beta_hot) * (E_hot - E_cold)) < 1.
+      const double delta =
+          (beta_cold - beta_hot) * (energy(hot.fitness) - energy(cold.fitness));
+      const bool swapped = delta >= 0.0 || u < std::exp(delta);
+      exchanges_total.add(1);
+      if (swapped) {
+        std::swap(cold.order, hot.order);
+        std::swap(cold.fitness, hot.fitness);
+        swaps_total.add(1);
       }
+      obs::trace_event(obs::names::kSearchTemperExchange,
+                       {{"phase", "Annealing"},
+                        {"sweep", std::uint64_t{sweep}},
+                        {"pair", std::uint64_t{i}},
+                        {"accepted", swapped ? 1 : 0}});
     }
     fold();
     ++sweep;

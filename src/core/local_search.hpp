@@ -13,22 +13,15 @@
 namespace tsce::core {
 
 struct HillClimbOptions {
-  /// Random restarts; the best local optimum wins.  With a budget set, at
-  /// most max_evaluations restarts run (each needs at least one decode).
-  std::size_t restarts = 4;
-  /// Total decode-evaluation budget across all restarts (0 = unlimited),
-  /// split evenly across the restarts so results do not depend on the
-  /// execution schedule.
+  /// Total decode-evaluation budget across the four random restarts
+  /// (0 = unlimited), split evenly across them.  Every restart decodes at
+  /// least once, so a budget below four runs that many restarts.
   std::size_t max_evaluations = 0;
-  /// Worker threads for the restarts (1 runs inline with no pool, 0 uses
-  /// std::thread::hardware_concurrency()).  Each restart derives its rng
-  /// stream from its index (util::Rng::stream), so the result is
-  /// byte-identical at any thread count.
-  std::size_t threads = 1;
 };
 
 /// First-improvement hill climbing over string orderings with the swap
-/// neighborhood.
+/// neighborhood, from four random restarts run one after another; the best
+/// local optimum wins.
 class HillClimb final : public Allocator {
  public:
   explicit HillClimb(HillClimbOptions options = {}) : options_(options) {}
@@ -45,15 +38,11 @@ struct AnnealingOptions {
   /// Total Metropolis steps, split evenly across the replicas, so the
   /// decode-evaluation budget is the same at any replica count.
   std::size_t iterations = 2000;
-  /// Initial temperature in worth units; 0 picks 10% of available worth.
-  double initial_temperature = 0.0;
   /// Replicas on the geometric temperature ladder (replica r starts at
-  /// initial_temperature * 1.7^r and cools by 0.998 per step).  0 and 1 both
-  /// run a single chain (no exchanges).
+  /// 10% of the available worth times 1.7^r and cools by 0.998 per step);
+  /// adjacent replicas may exchange states every 64 steps.  0 and 1 both run
+  /// a single chain (no exchanges).
   std::size_t replicas = 4;
-  /// Metropolis steps per replica between exchange barriers.  0 disables
-  /// exchanges (independent chains, best-of fold).
-  std::size_t exchange_interval = 64;
   /// Worker threads for the replicas (1 runs inline with no pool, 0 uses
   /// std::thread::hardware_concurrency(); workers cap at the replica count).
   /// Replica r derives its rng stream from its index (util::Rng::stream),

@@ -20,6 +20,7 @@
 #include <concepts>
 #include <cstddef>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -90,7 +91,12 @@ class Genitor {
   using Chromosome = typename P::Chromosome;
   using Fitness = typename P::Fitness;
 
-  Genitor(const P& problem, Config config) : problem_(problem), config_(config) {}
+  /// Throws std::invalid_argument when config.population_size is 0.
+  Genitor(const P& problem, Config config) : problem_(problem), config_(config) {
+    if (config_.population_size == 0) {
+      throw std::invalid_argument("genitor: population_size must be >= 1");
+    }
+  }
 
   /// Runs the search.  \p seeds are inserted into the initial population
   /// verbatim (Seeded PSG); the remainder is random.

@@ -267,14 +267,7 @@ UpperBoundResult upper_bound_slackness(const SystemModel& model,
 UpperBoundResult UpperBoundSolver::run_reusable(const SystemModel& model,
                                                 bool complete) {
   build_upper_bound_lp_into(problem_, model, complete, options_.objective);
-  UpperBoundOptions opts = options_;
-  if (warm_start_ && !last_basis_.empty()) {
-    opts.simplex.basis_warm_start = &last_basis_;
-  }
-  const LpSolution solution = solve(problem_, opts.simplex);
-  if (solution.status == SolveStatus::kOptimal && !solution.basis.empty()) {
-    last_basis_ = solution.basis;
-  }
+  const LpSolution solution = solve(problem_, options_.simplex);
   return extract_result(problem_, solution, model, complete);
 }
 

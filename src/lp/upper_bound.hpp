@@ -109,21 +109,13 @@ void build_upper_bound_lp_into(LpProblem& problem, const model::SystemModel& mod
 
 /// Reusable upper-bound evaluator for repeated solves over same-shaped
 /// models (Monte-Carlo replicates, what-if perturbations).  Reuses the
-/// assembled LpProblem's buffers across calls, and — when warm starts are
-/// enabled — chains each solve from the previous optimal basis, which is
-/// where the sparse engine's basis_warm_start hook pays off: a lightly
-/// perturbed model typically re-optimises in a handful of pivots.  A basis
-/// that no longer fits (shape change, infeasible start) falls back to a cold
-/// solve automatically, so enabling warm starts never changes results, only
-/// the pivot path.  Not thread-safe; use one instance per thread.
+/// assembled LpProblem's buffers across calls; every solve starts cold, so
+/// results and pivot paths never depend on call order.  Not thread-safe; use
+/// one instance per worker.
 class UpperBoundSolver {
  public:
   explicit UpperBoundSolver(UpperBoundOptions options = {})
       : options_(options) {}
-
-  /// Enables basis chaining across solves (off by default: a chained pivot
-  /// path makes per-call iteration counts depend on call order).
-  void set_warm_start(bool enabled) noexcept { warm_start_ = enabled; }
 
   [[nodiscard]] UpperBoundResult worth(const model::SystemModel& model);
   [[nodiscard]] UpperBoundResult slackness(const model::SystemModel& model);
@@ -132,8 +124,6 @@ class UpperBoundSolver {
   UpperBoundResult run_reusable(const model::SystemModel& model, bool complete);
 
   UpperBoundOptions options_;
-  bool warm_start_ = false;
-  SimplexBasis last_basis_;
   LpProblem problem_;
 };
 

@@ -8,16 +8,10 @@
 /// thread wakes every period, snapshots the registry, stamps the sample with
 /// a sequence number and seconds-since-start, and appends it to the output.
 ///
-/// Two formats:
-///   * kJsonl        — append-only series: one header record carrying RunInfo
-///                     provenance, then one {"t":"sample","seq","t_s",
-///                     "metrics":{...}} record per tick.  This is the format
-///                     tools/trace_report --metrics-series folds into
-///                     throughput / tail-latency tables and CSV.
-///   * kOpenMetrics  — the file is rewritten every tick as an OpenMetrics
-///                     text exposition (counters as _total, histograms as
-///                     _count/_sum plus quantile samples, terminated by
-///                     "# EOF") for scrape-style collection.
+/// The output is an append-only JSONL series: one header record carrying
+/// RunInfo provenance, then one {"t":"sample","seq","t_s","metrics":{...}}
+/// record per tick.  tools/trace_report --metrics-series folds it into
+/// throughput / tail-latency tables and CSV.
 ///
 /// Each tick also calls trace_poll(), so a SIGUSR1-requested write of the
 /// recorder rings into the open trace is serviced within one export period —
@@ -42,10 +36,7 @@
 namespace tsce::obs {
 
 struct MetricsExporterConfig {
-  enum class Format { kJsonl, kOpenMetrics };
-
   std::string path;
-  Format format = Format::kJsonl;
   std::uint32_t period_ms = 1000;
 };
 
@@ -57,7 +48,7 @@ class MetricsExporter {
   MetricsExporter(const MetricsExporter&) = delete;
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
-  /// Opens the output (JSONL: writes the RunInfo header) and starts the
+  /// Opens the output, writes the RunInfo header and starts the
   /// sampler thread.  Returns false when the file cannot be opened or the
   /// exporter is already running.
   bool start();
@@ -85,7 +76,7 @@ class MetricsExporter {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::thread thread_;
-  std::FILE* file_ = nullptr;  // JSONL appends; OpenMetrics reopens per tick
+  std::FILE* file_ = nullptr;
   bool running_ = false;
   bool stop_requested_ = false;
   std::uint64_t seq_ = 0;

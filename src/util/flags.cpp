@@ -139,4 +139,13 @@ bool Flags::parse(int argc, char** argv) {
   return true;
 }
 
+bool flag_at_least(std::string_view flag, std::int64_t value,
+                   std::int64_t min) {
+  if (value >= min) return true;
+  std::fprintf(stderr, "error: --%.*s must be >= %lld\n",
+               static_cast<int>(flag.size()), flag.data(),
+               static_cast<long long>(min));
+  return false;
+}
+
 }  // namespace tsce::util

@@ -53,4 +53,10 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// Range check for an integer count flag, run before the caller casts it to
+/// size_t: when \p value < \p min, prints "error: --<flag> must be >= <min>"
+/// to stderr and returns false.
+[[nodiscard]] bool flag_at_least(std::string_view flag, std::int64_t value,
+                                 std::int64_t min);
+
 }  // namespace tsce::util

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace tsce::util {
 
@@ -17,6 +18,18 @@ void raise_max(std::atomic<std::uint64_t>& cell, std::uint64_t v) noexcept {
 }
 
 }  // namespace
+
+void detail::drain(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
+}
 
 std::size_t resolve_thread_count(std::size_t requested) noexcept {
   if (requested != 0) return requested;

@@ -1,11 +1,14 @@
 /// \file thread_pool.hpp
-/// Minimal fixed-size thread pool with a parallel_for convenience wrapper.
+/// Minimal fixed-size thread pool and the one parallel loop built on it,
+/// for_each_index.
 ///
-/// Used to spread independent Monte-Carlo replications (and, optionally,
-/// GENITOR trial restarts) across cores.  Work items are type-erased
-/// std::move_only_function-style tasks; results flow back through
-/// std::future.  On a single-core host the pool degrades gracefully to one
-/// worker with negligible overhead.
+/// Every parallel loop in the library and the benches goes through
+/// for_each_index: the Monte-Carlo replications of the figure benches, the
+/// BatchEvaluator's candidate fan-out (initial populations, the exact
+/// search's branch split) and the tempering engine's replica sweeps.  Work
+/// items are type-erased tasks; results flow back through std::future.  On a
+/// single-core host the pool degrades gracefully to one worker with
+/// negligible overhead.
 ///
 /// The pool keeps process-wide Stats (task count, peak queue depth, and —
 /// when set_timing(true) — per-task queue-wait and run latency).  They live
@@ -14,13 +17,13 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -97,58 +100,7 @@ class ThreadPool {
     return result;
   }
 
-  /// Runs fn(i) for i in [0, count), blocking until all complete.  Exceptions
-  /// from work items are rethrown (first one wins).
-  template <typename F>
-  void parallel_for(std::size_t count, F&& fn) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      futures.push_back(submit([&fn, i]() { fn(i); }));
-    }
-    drain(futures);
-  }
-
-  /// Runs fn(i) for i in [0, count) pulling indices from a shared atomic
-  /// cursor with at most one task per worker — O(workers) futures instead of
-  /// O(count), so barrier-stepped loops (the tempering engine's sweeps, the
-  /// exact search's branch split) can call it repeatedly without flooding the
-  /// queue.  fn must tolerate any index-to-worker schedule; blocks until all
-  /// indices are done and rethrows the first work-item exception.
-  template <typename F>
-  void for_each_index(std::size_t count, F&& fn) {
-    std::atomic<std::size_t> cursor{0};
-    const std::size_t tasks = std::min(workers_.size(), count);
-    std::vector<std::future<void>> futures;
-    futures.reserve(tasks);
-    for (std::size_t w = 0; w < tasks; ++w) {
-      futures.push_back(submit([&fn, &cursor, count]() {
-        for (std::size_t i = cursor.fetch_add(1); i < count;
-             i = cursor.fetch_add(1)) {
-          fn(i);
-        }
-      }));
-    }
-    drain(futures);
-  }
-
  private:
-  /// Waits on every future before rethrowing the first stored exception.
-  /// Rethrowing from the first failed get() would abandon tasks that are
-  /// still running against stack captures of the caller's frame
-  /// (use-after-scope once the caller unwinds).
-  static void drain(std::vector<std::future<void>>& futures) {
-    std::exception_ptr first;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
-  }
-
   struct Item {
     std::function<void()> fn;
     std::chrono::steady_clock::time_point enqueued{};
@@ -165,5 +117,45 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+namespace detail {
+/// Waits on every future before rethrowing the first stored exception.
+/// Rethrowing from the first failed get() would abandon tasks that are still
+/// running against stack captures of the caller's frame (use-after-scope
+/// once the caller unwinds).
+void drain(std::vector<std::future<void>>& futures);
+}  // namespace detail
+
+/// Runs fn(slot, i) for every i in [0, count) and blocks until all are done.
+///
+/// With a pool, at most pool->size() tasks pull indices from a shared atomic
+/// cursor — O(workers) futures instead of O(count), so barrier-stepped loops
+/// (the tempering sweeps) can call it repeatedly without flooding the queue.
+/// \p slot (< pool->size()) names the task running the index: no two indices
+/// run at the same time under one slot, so fn may use it to pick per-worker
+/// scratch (a decode context, an LP solver).  With no pool (nullptr) the loop
+/// runs inline, in index order, under slot 0.  fn must tolerate any
+/// index-to-slot schedule; the first exception it throws is rethrown once
+/// every task has finished.
+template <typename F>
+void for_each_index(ThreadPool* pool, std::size_t count, F&& fn) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < count; ++i) fn(std::size_t{0}, i);
+    return;
+  }
+  std::atomic<std::size_t> cursor{0};
+  const std::size_t tasks = std::min(pool->size(), count);
+  std::vector<std::future<void>> futures;
+  futures.reserve(tasks);
+  for (std::size_t slot = 0; slot < tasks; ++slot) {
+    futures.push_back(pool->submit([&fn, &cursor, count, slot] {
+      for (std::size_t i = cursor.fetch_add(1); i < count;
+           i = cursor.fetch_add(1)) {
+        fn(slot, i);
+      }
+    }));
+  }
+  detail::drain(futures);
+}
 
 }  // namespace tsce::util

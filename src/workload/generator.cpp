@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace tsce::workload {
 
@@ -65,6 +67,20 @@ double period_bound(const SystemModel& model, const AppString& s, double mu) {
 }
 
 SystemModel generate(const GeneratorConfig& config, util::Rng& rng) {
+  if (config.num_machines == 0) {
+    throw std::invalid_argument("workload::generate: num_machines must be >= 1");
+  }
+  if (config.min_apps_per_string == 0) {
+    throw std::invalid_argument(
+        "workload::generate: min_apps_per_string must be >= 1");
+  }
+  if (config.min_apps_per_string > config.max_apps_per_string) {
+    throw std::invalid_argument(
+        "workload::generate: min_apps_per_string (" +
+        std::to_string(config.min_apps_per_string) +
+        ") exceeds max_apps_per_string (" +
+        std::to_string(config.max_apps_per_string) + ")");
+  }
   SystemModel model;
   model.network = model::Network(config.num_machines);
   const auto m = static_cast<model::MachineId>(config.num_machines);

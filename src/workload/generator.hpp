@@ -79,6 +79,9 @@ struct GeneratorConfig {
 };
 
 /// Draws a complete random TSCE instance.  Deterministic given \p rng state.
+/// Throws std::invalid_argument when \p config has no machines, allows
+/// strings with no applications, or has min_apps_per_string above
+/// max_apps_per_string.
 [[nodiscard]] model::SystemModel generate(const GeneratorConfig& config,
                                           util::Rng& rng);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "analysis/feasibility.hpp"
 #include "model/system_model.hpp"
 #include "workload/generator.hpp"
@@ -84,32 +87,30 @@ TEST(ClassBased, EmptyClassesAreSkipped) {
   EXPECT_EQ(result.fitness.total_worth, 10);
 }
 
-TEST(ClassBased, BatchedEvaluationDeterministicAcrossThreadCounts) {
-  // The per-class GENITOR search fans its initial populations out across the
-  // BatchEvaluator's workers; results must be byte-identical at any
-  // eval_threads count (and match the inline default).
+TEST(ClassBased, RerunIsByteIdentical) {
   util::Rng rng(8);
   auto config =
       workload::GeneratorConfig::for_scenario(workload::Scenario::kHighlyLoaded);
   config.num_machines = 3;
   config.num_strings = 12;
   const SystemModel m = generate(config, rng);
-  auto run = [&](std::size_t threads) {
-    ClassBasedOptions options;
-    options.ga.population_size = 16;
-    options.ga.max_iterations = 60;
-    options.ga.stagnation_limit = 30;
-    options.eval_threads = threads;
+  ClassBasedOptions options;
+  options.ga.population_size = 16;
+  options.ga.max_iterations = 60;
+  options.ga.stagnation_limit = 30;
+  auto run = [&] {
     util::Rng search_rng(9);
     return ClassBasedAllocator(options).allocate(m, search_rng);
   };
-  const auto one = run(1);
-  const auto four = run(4);
-  EXPECT_EQ(one.order, four.order);
-  EXPECT_EQ(one.fitness.total_worth, four.fitness.total_worth);
-  EXPECT_EQ(one.fitness.slackness, four.fitness.slackness);
-  EXPECT_EQ(one.evaluations, four.evaluations);
-  EXPECT_TRUE(analysis::check_feasibility(m, one.allocation).feasible());
+  const auto first = run();
+  const auto second = run();
+  EXPECT_EQ(first.order, second.order);
+  EXPECT_EQ(first.fitness.total_worth, second.fitness.total_worth);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(first.fitness.slackness),
+            std::bit_cast<std::uint64_t>(second.fitness.slackness));
+  EXPECT_EQ(first.evaluations, second.evaluations);
+  EXPECT_EQ(first.allocation, second.allocation);
+  EXPECT_TRUE(analysis::check_feasibility(m, first.allocation).feasible());
 }
 
 }  // namespace

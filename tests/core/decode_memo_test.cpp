@@ -150,19 +150,10 @@ AllocatorResult reference_class_based(const SystemModel& model,
       config.population_size = std::min<std::size_t>(
           config.population_size, std::max<std::size_t>(4, members.size() * 4));
       genitor::Genitor<ClassProblem> ga(problem, config);
-      analysis::Fitness best_fitness{};
-      bool have_best = false;
-      for (std::size_t trial = 0; trial < std::max<std::size_t>(1, options.trials);
-           ++trial) {
-        util::Rng trial_rng = rng.spawn();
-        auto result = ga.run(trial_rng);
-        evaluations += result.evaluations;
-        if (!have_best || best_fitness < result.best_fitness) {
-          best_fitness = result.best_fitness;
-          best_class_order = std::move(result.best);
-          have_best = true;
-        }
-      }
+      util::Rng class_rng = rng.spawn();
+      auto result = ga.run(class_rng);
+      evaluations += result.evaluations;
+      best_class_order = std::move(result.best);
     }
     std::vector<StringId> full = committed;
     full.insert(full.end(), best_class_order.begin(), best_class_order.end());
@@ -185,7 +176,6 @@ TEST(DecodeMemo, ClassBasedMatchesMemoFreeReference) {
   options.ga.population_size = 24;
   options.ga.max_iterations = 150;
   options.ga.stagnation_limit = 150;
-  options.trials = 2;
   std::uint64_t seed = 31;
   for (const Scenario scenario : kScenarios) {
     const SystemModel m = make_model(scenario, 4, 30, seed++);

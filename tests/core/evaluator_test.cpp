@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -33,15 +34,14 @@ std::vector<std::vector<StringId>> make_orders(const SystemModel& m,
   return orders;
 }
 
-void expect_outcomes_equal(const std::vector<DecodeOutcome>& a,
-                           const std::vector<DecodeOutcome>& b) {
+void expect_fitness_equal(const std::vector<analysis::Fitness>& a,
+                          const std::vector<analysis::Fitness>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].fitness.total_worth, b[i].fitness.total_worth) << "i=" << i;
-    EXPECT_EQ(a[i].fitness.slackness, b[i].fitness.slackness) << "i=" << i;
-    EXPECT_EQ(a[i].strings_deployed, b[i].strings_deployed) << "i=" << i;
-    EXPECT_EQ(a[i].first_failed, b[i].first_failed) << "i=" << i;
-    EXPECT_EQ(a[i].prefix_reused, b[i].prefix_reused) << "i=" << i;
+    EXPECT_EQ(a[i].total_worth, b[i].total_worth) << "i=" << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].slackness),
+              std::bit_cast<std::uint64_t>(b[i].slackness))
+        << "i=" << i;
   }
 }
 
@@ -50,15 +50,12 @@ TEST(BatchEvaluator, SerialMatchesFreshDecodes) {
   const auto orders = make_orders(m, 10, 7);
   BatchEvaluator evaluator(m, 1);
   EXPECT_EQ(evaluator.num_workers(), 1u);
-  const auto outcomes = evaluator.evaluate(orders);
-  ASSERT_EQ(outcomes.size(), orders.size());
+  const auto fitness = evaluator.evaluate_fitness(orders);
+  ASSERT_EQ(fitness.size(), orders.size());
   for (std::size_t i = 0; i < orders.size(); ++i) {
     const DecodeResult fresh = decode_order(m, orders[i]);
-    EXPECT_EQ(outcomes[i].fitness.total_worth, fresh.fitness.total_worth);
-    EXPECT_EQ(outcomes[i].fitness.slackness, fresh.fitness.slackness);
-    EXPECT_EQ(outcomes[i].strings_deployed, fresh.strings_deployed);
-    EXPECT_EQ(outcomes[i].first_failed, fresh.first_failed);
-    EXPECT_EQ(outcomes[i].prefix_reused, 0u);  // schedule-independent contract
+    EXPECT_EQ(fitness[i].total_worth, fresh.fitness.total_worth);
+    EXPECT_EQ(fitness[i].slackness, fresh.fitness.slackness);
   }
 }
 
@@ -66,27 +63,27 @@ TEST(BatchEvaluator, ByteIdenticalAcrossThreadCounts) {
   const SystemModel m = make_instance(4);
   const auto orders = make_orders(m, 24, 13);
   BatchEvaluator serial(m, 1);
-  const auto baseline = serial.evaluate(orders);
+  const auto baseline = serial.evaluate_fitness(orders);
   for (const std::size_t threads : {2u, 4u}) {
     BatchEvaluator parallel(m, threads);
     EXPECT_EQ(parallel.num_workers(), threads);
-    expect_outcomes_equal(parallel.evaluate(orders), baseline);
+    expect_fitness_equal(parallel.evaluate_fitness(orders), baseline);
     // Warm contexts (arbitrary interleaving history) must not change results.
-    expect_outcomes_equal(parallel.evaluate(orders), baseline);
+    expect_fitness_equal(parallel.evaluate_fitness(orders), baseline);
   }
 }
 
 TEST(BatchEvaluator, FitnessConvenienceMatchesEvaluate) {
+  // evaluate_fitness (the decisive-prefix memo path) agrees with a full
+  // decode of every order through for_each on the same workers.
   const SystemModel m = make_instance(5);
   const auto orders = make_orders(m, 12, 17);
   BatchEvaluator evaluator(m, 2);
-  const auto outcomes = evaluator.evaluate(orders);
-  const auto fitness = evaluator.evaluate_fitness(orders);
-  ASSERT_EQ(fitness.size(), outcomes.size());
-  for (std::size_t i = 0; i < fitness.size(); ++i) {
-    EXPECT_EQ(fitness[i].total_worth, outcomes[i].fitness.total_worth);
-    EXPECT_EQ(fitness[i].slackness, outcomes[i].fitness.slackness);
-  }
+  std::vector<analysis::Fitness> decoded(orders.size());
+  evaluator.for_each(orders.size(), [&](std::size_t i, DecodeContext& ctx) {
+    decoded[i] = decode_order_into(ctx, orders[i]).fitness;
+  });
+  expect_fitness_equal(evaluator.evaluate_fitness(orders), decoded);
 }
 
 TEST(BatchEvaluator, ForEachWithIndexedStreamsIsDeterministic) {
@@ -113,7 +110,8 @@ TEST(BatchEvaluator, ZeroThreadsUsesHardwareConcurrency) {
   EXPECT_GE(evaluator.num_workers(), 1u);
   const auto orders = make_orders(m, 4, 21);
   BatchEvaluator serial(m, 1);
-  expect_outcomes_equal(evaluator.evaluate(orders), serial.evaluate(orders));
+  expect_fitness_equal(evaluator.evaluate_fitness(orders),
+                       serial.evaluate_fitness(orders));
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <bit>
+#include <cstdint>
 
 #include "analysis/feasibility.hpp"
 #include "core/decode.hpp"
@@ -27,7 +28,6 @@ TEST(HillClimb, ProducesFeasibleAllocation) {
   const SystemModel m = contended(1);
   util::Rng rng(2);
   HillClimbOptions options;
-  options.restarts = 2;
   options.max_evaluations = 300;
   const auto result = HillClimb(options).allocate(m, rng);
   EXPECT_TRUE(analysis::check_feasibility(m, result.allocation).feasible());
@@ -36,12 +36,11 @@ TEST(HillClimb, ProducesFeasibleAllocation) {
 }
 
 TEST(HillClimb, NeverWorseThanItsOwnStartingPoints) {
-  // With one restart and a fixed seed, the climb starts from the order
-  // restart 0's stream shuffles and only accepts improvements: the result
-  // dominates that start.
+  // Restart 0 climbs from the order its stream shuffles and only accepts
+  // improvements, and the best restart wins: the result dominates that
+  // start.
   const SystemModel m = contended(3);
   HillClimbOptions options;
-  options.restarts = 1;
   options.max_evaluations = 200;
   util::Rng rng(4);
   const auto result = HillClimb(options).allocate(m, rng);
@@ -56,55 +55,43 @@ TEST(HillClimb, NeverWorseThanItsOwnStartingPoints) {
 TEST(HillClimb, RespectsEvaluationBudget) {
   const SystemModel m = contended(5);
   HillClimbOptions options;
-  options.restarts = 100;
-  options.max_evaluations = 50;
+  options.max_evaluations = 3;
   util::Rng rng(6);
   const auto result = HillClimb(options).allocate(m, rng);
-  // 100 restarts cannot each decode once within 50 evaluations: the restart
-  // count is clamped to the budget.
-  EXPECT_LE(result.evaluations, 55u);
+  // Four restarts cannot each decode once within 3 evaluations: the restart
+  // count is clamped to the budget, and each restart stops after its start
+  // decode.
+  EXPECT_EQ(result.evaluations, 3u);
 }
 
-TEST(HillClimb, ParallelRestartsDeterministicAcrossThreadCounts) {
-  // Every restart derives its rng stream from its index, so the result must
-  // be identical at any worker count (and across reruns) — including
-  // threads = 1, the inline no-pool execution.
+TEST(HillClimb, RerunIsByteIdentical) {
   const SystemModel m = contended(15);
   HillClimbOptions options;
-  options.restarts = 4;
   options.max_evaluations = 400;
-  auto run = [&](std::size_t threads) {
-    HillClimbOptions o = options;
-    o.threads = threads;
+  auto run = [&] {
     util::Rng rng(16);
-    return HillClimb(o).allocate(m, rng);
+    return HillClimb(options).allocate(m, rng);
   };
-  const auto one = run(1);
-  const auto two = run(2);
-  const auto three = run(3);
-  const auto two_again = run(2);
-  EXPECT_EQ(two.fitness.total_worth, three.fitness.total_worth);
-  EXPECT_EQ(two.fitness.slackness, three.fitness.slackness);
-  EXPECT_EQ(two.order, three.order);
-  EXPECT_EQ(two.evaluations, three.evaluations);
-  EXPECT_EQ(one.order, two.order);
-  EXPECT_EQ(one.fitness.slackness, two.fitness.slackness);
-  EXPECT_EQ(one.evaluations, two.evaluations);
-  EXPECT_EQ(two.order, two_again.order);
-  EXPECT_EQ(two.evaluations, two_again.evaluations);
-  EXPECT_TRUE(analysis::check_feasibility(m, two.allocation).feasible());
+  const auto first = run();
+  const auto second = run();
+  EXPECT_EQ(first.order, second.order);
+  EXPECT_EQ(first.fitness.total_worth, second.fitness.total_worth);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(first.fitness.slackness),
+            std::bit_cast<std::uint64_t>(second.fitness.slackness));
+  EXPECT_EQ(first.evaluations, second.evaluations);
+  EXPECT_EQ(first.allocation, second.allocation);
+  EXPECT_TRUE(analysis::check_feasibility(m, first.allocation).feasible());
 }
 
 TEST(HillClimb, ParallelBudgetIsSplitAcrossRestarts) {
   const SystemModel m = contended(17);
   HillClimbOptions options;
-  options.restarts = 4;
-  options.threads = 2;
   options.max_evaluations = 100;
   util::Rng rng(18);
   const auto result = HillClimb(options).allocate(m, rng);
-  // Each restart gets a 25-evaluation slice plus its in-flight neighbor.
-  EXPECT_LE(result.evaluations, 100u + options.restarts);
+  // Each of the four restarts gets a 25-evaluation slice plus its in-flight
+  // neighbor.
+  EXPECT_LE(result.evaluations, 100u + 4u);
 }
 
 TEST(HillClimb, SingleStringInstance) {
@@ -130,35 +117,16 @@ TEST(SimulatedAnnealing, ProducesFeasibleAllocation) {
 }
 
 TEST(SimulatedAnnealing, TracksBestNotCurrent) {
-  // Even with aggressive temperature (accepting many downhill moves), the
-  // reported result must dominate a plain random decode from the same seed
-  // family almost surely; at minimum it must be internally consistent.
+  // The chains accept downhill moves, so the current order drifts below the
+  // incumbent; the reported order must replay to the reported fitness.
   const SystemModel m = contended(11);
   util::Rng rng(12);
   AnnealingOptions options;
   options.iterations = 400;
-  options.initial_temperature = 50.0;
   const auto result = SimulatedAnnealing(options).allocate(m, rng);
   const auto replay = decode_order(m, result.order);
   EXPECT_EQ(replay.fitness.total_worth, result.fitness.total_worth);
   EXPECT_DOUBLE_EQ(replay.fitness.slackness, result.fitness.slackness);
-}
-
-TEST(SimulatedAnnealing, ColdAnnealingIsGreedy) {
-  // Near-zero temperature: only improving moves are accepted, so the final
-  // fitness is monotone in iterations (tested indirectly: more iterations
-  // never hurt).
-  const SystemModel m = contended(13);
-  AnnealingOptions cold_short;
-  cold_short.iterations = 50;
-  cold_short.initial_temperature = 1e-9;
-  AnnealingOptions cold_long = cold_short;
-  cold_long.iterations = 400;
-  util::Rng rng1(14);
-  util::Rng rng2(14);
-  const auto short_result = SimulatedAnnealing(cold_short).allocate(m, rng1);
-  const auto long_result = SimulatedAnnealing(cold_long).allocate(m, rng2);
-  EXPECT_FALSE(long_result.fitness < short_result.fitness);
 }
 
 TEST(SimulatedAnnealing, TemperingDeterministicAcrossThreadCounts) {
@@ -167,7 +135,6 @@ TEST(SimulatedAnnealing, TemperingDeterministicAcrossThreadCounts) {
     AnnealingOptions options;
     options.iterations = 400;
     options.replicas = 3;
-    options.exchange_interval = 32;
     options.threads = threads;
     util::Rng rng(22);
     return SimulatedAnnealing(options).allocate(m, rng);
@@ -221,36 +188,12 @@ TEST(SimulatedAnnealing, DegenerateReplicaCounts) {
   EXPECT_TRUE(analysis::check_feasibility(m, one.allocation).feasible());
 }
 
-TEST(SimulatedAnnealing, ExchangeIntervalZeroRunsIndependentChains) {
-  // exchange_interval = 0 disables the barriers: the replicas become
-  // independent cooled chains folded best-of.  Still deterministic across
-  // thread counts, still feasible.
-  const SystemModel m = contended(27);
-  auto run = [&](std::size_t threads) {
-    AnnealingOptions options;
-    options.iterations = 300;
-    options.replicas = 3;
-    options.exchange_interval = 0;
-    options.threads = threads;
-    util::Rng rng(28);
-    return SimulatedAnnealing(options).allocate(m, rng);
-  };
-  const auto one = run(1);
-  const auto four = run(4);
-  EXPECT_EQ(one.order, four.order);
-  EXPECT_EQ(one.fitness.total_worth, four.fitness.total_worth);
-  EXPECT_EQ(one.fitness.slackness, four.fitness.slackness);
-  EXPECT_EQ(one.evaluations, four.evaluations);
-  EXPECT_TRUE(analysis::check_feasibility(m, one.allocation).feasible());
-}
-
 TEST(SimulatedAnnealing, TemperingTracksBestNotCurrent) {
   // The reported order must replay to the reported fitness, across replica
   // exchanges too.
   const SystemModel m = contended(29);
   AnnealingOptions options;
   options.iterations = 400;
-  options.initial_temperature = 50.0;
   options.threads = 2;
   util::Rng rng(30);
   const auto result = SimulatedAnnealing(options).allocate(m, rng);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 namespace tsce::genitor {
@@ -123,6 +124,13 @@ TEST(Genitor, ImprovesOverRandomStart) {
   EXPECT_GT(result.best_fitness, best_random);
   EXPECT_GE(result.best_fitness, 15);  // near-optimal on this easy landscape
   EXPECT_EQ(problem.evaluate(result.best), result.best_fitness);
+}
+
+TEST(Genitor, RejectsEmptyPopulation) {
+  const FixedPointProblem problem{4};
+  Config config;
+  config.population_size = 0;
+  EXPECT_THROW(Genitor<FixedPointProblem>(problem, config), std::invalid_argument);
 }
 
 TEST(Genitor, SeedsEnterPopulation) {

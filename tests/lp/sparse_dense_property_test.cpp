@@ -302,26 +302,5 @@ TEST(UpperBoundSolver, ReusedSolverMatchesOneShotFunctions) {
   }
 }
 
-TEST(UpperBoundSolver, WarmStartPreservesResultAndCutsIterations) {
-  model::SystemModelBuilder b(3);
-  b.uniform_bandwidth(8.0);
-  for (int k = 0; k < 6; ++k) {
-    b.begin_string(10.0, 100.0, model::Worth::kMedium);
-    b.add_app(1.0, 0.5, 0.1);
-    b.add_app(1.0, 0.4, 0.0);
-  }
-  const model::SystemModel m = b.build();
-
-  UpperBoundSolver chained;
-  chained.set_warm_start(true);
-  const UpperBoundResult first = chained.worth(m);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-  // Second solve of the identical model starts from the optimal basis.
-  const UpperBoundResult second = chained.worth(m);
-  ASSERT_EQ(second.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(second.value, first.value, 1e-9);
-  EXPECT_LE(second.iterations, first.iterations);
-}
-
 }  // namespace
 }  // namespace tsce::lp

@@ -12,13 +12,12 @@ struct Rng {
 };
 }  // namespace util
 
-struct ThreadPool {
-  template <typename F>
-  void parallel_for(std::size_t count, F&& fn);
-};
+struct ThreadPool {};
+template <typename F>
+void for_each_index(ThreadPool* pool, std::size_t count, F&& fn);
 
 void shuffle_all(ThreadPool& pool, std::uint64_t seed, std::vector<int>& xs) {
-  pool.parallel_for(xs.size(), [seed, &xs](std::size_t i) {
+  for_each_index(&pool, xs.size(), [seed, &xs](std::size_t, std::size_t i) {
     util::Rng item_rng = util::Rng::stream(seed, i);
     xs[i] = static_cast<int>(item_rng());
   });

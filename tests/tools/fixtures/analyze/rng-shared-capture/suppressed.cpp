@@ -11,13 +11,12 @@ struct Rng {
 };
 }  // namespace util
 
-struct ThreadPool {
-  template <typename F>
-  void parallel_for(std::size_t count, F&& fn);
-};
+struct ThreadPool {};
+template <typename F>
+void for_each_index(ThreadPool* pool, std::size_t count, F&& fn);
 
 void shuffle_all(ThreadPool& pool, util::Rng& rng, std::vector<int>& xs) {
-  pool.parallel_for(xs.size(), [&rng, &xs](std::size_t i) {  // tsce-lint: allow(rng-shared-capture)
+  for_each_index(&pool, xs.size(), [&rng, &xs](std::size_t, std::size_t i) {  // tsce-lint: allow(rng-shared-capture)
     xs[i] = static_cast<int>(rng());
   });
 }

@@ -16,7 +16,7 @@ struct Engine {
   double sum_ = 0.0;
 
   void run(tsce::util::ThreadPool& pool) {
-    pool.parallel_for(8, [this](std::size_t i) {
+    tsce::util::for_each_index(&pool, 8, [this](std::size_t, std::size_t i) {
       tsce::util::Rng rng = tsce::util::Rng::stream(seed_, i);
       sum_ += consume(rng);
     });

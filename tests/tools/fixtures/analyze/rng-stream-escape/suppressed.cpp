@@ -20,6 +20,6 @@ struct Engine {
   }
 
   void run(tsce::util::ThreadPool& pool) {
-    pool.parallel_for(8, [this](std::size_t i) { step(i); });
+    tsce::util::for_each_index(&pool, 8, [this](std::size_t, std::size_t i) { step(i); });
   }
 };

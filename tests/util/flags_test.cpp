@@ -155,5 +155,16 @@ TEST(Flags, DefaultsSurviveWhenNotMentioned) {
   EXPECT_DOUBLE_EQ(scale, 0.5);
 }
 
+TEST(Flags, AtLeastRejectsValuesBelowTheMinimum) {
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(flag_at_least("machines", 1, 1));
+  EXPECT_TRUE(flag_at_least("threads", 0, 0));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(flag_at_least("runs", -1, 1));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: --runs must be >= 1\n");
+}
+
 }  // namespace
 }  // namespace tsce::util

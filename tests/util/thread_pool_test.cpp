@@ -38,37 +38,51 @@ TEST(ThreadPool, ManyTasksAllComplete) {
 TEST(ThreadPool, ParallelForCoversEveryIndex) {
   ThreadPool pool(3);
   std::vector<int> hits(100, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  std::vector<std::size_t> slot_of(100, 99);
+  for_each_index(&pool, hits.size(), [&](std::size_t slot, std::size_t i) {
+    hits[i] += 1;
+    slot_of[i] = slot;
+  });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
   for (int h : hits) EXPECT_EQ(h, 1);
+  for (std::size_t slot : slot_of) EXPECT_LT(slot, pool.size());
 }
 
 TEST(ThreadPool, ParallelForZeroCountIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t) { called = true; });
+  for_each_index(&pool, 0, [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, ForEachIndexCoversEveryIndex) {
-  ThreadPool pool(3);
-  std::vector<int> hits(100, 0);
-  pool.for_each_index(hits.size(), [&](std::size_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
+  // No pool: the loop runs inline, in index order, under slot 0.
+  std::vector<std::size_t> seen;
+  for_each_index(nullptr, 100, [&](std::size_t slot, std::size_t i) {
+    EXPECT_EQ(slot, 0u);
+    seen.push_back(i);
+  });
+  std::vector<std::size_t> expected(100);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(ThreadPool, ForEachIndexHandlesFewerItemsThanWorkers) {
+  ThreadPool::Stats& stats = ThreadPool::global_stats();
+  stats.reset();
   ThreadPool pool(4);
   std::vector<int> hits(2, 0);
-  pool.for_each_index(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  for_each_index(&pool, hits.size(),
+                 [&](std::size_t, std::size_t i) { hits[i] += 1; });
   EXPECT_EQ(hits[0], 1);
   EXPECT_EQ(hits[1], 1);
+  EXPECT_EQ(stats.tasks.load(), 2u);  // one task per item, not per worker
+  stats.reset();
 }
 
 TEST(ThreadPool, ForEachIndexZeroCountIsNoop) {
-  ThreadPool pool(2);
   bool called = false;
-  pool.for_each_index(0, [&](std::size_t) { called = true; });
+  for_each_index(nullptr, 0, [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
@@ -78,18 +92,22 @@ TEST(ThreadPool, ForEachIndexRepeatedBarrierSteps) {
   ThreadPool pool(2);
   std::vector<int> hits(16, 0);
   for (int sweep = 0; sweep < 50; ++sweep) {
-    pool.for_each_index(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+    for_each_index(&pool, hits.size(),
+                   [&](std::size_t, std::size_t i) { hits[i] += 1; });
   }
   for (int h : hits) EXPECT_EQ(h, 50);
 }
 
 TEST(ThreadPool, ForEachIndexPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.for_each_index(8,
-                                   [](std::size_t i) {
-                                     if (i == 3) throw std::logic_error("bad");
-                                   }),
+  // Inline: the exception leaves the loop at the throwing index.
+  std::size_t last = 0;
+  EXPECT_THROW(for_each_index(nullptr, 8,
+                              [&](std::size_t, std::size_t i) {
+                                last = i;
+                                if (i == 3) throw std::logic_error("bad");
+                              }),
                std::logic_error);
+  EXPECT_EQ(last, 3u);
 }
 
 TEST(ThreadPool, ExceptionsPropagate) {
@@ -99,12 +117,21 @@ TEST(ThreadPool, ExceptionsPropagate) {
 }
 
 TEST(ThreadPool, ParallelForPropagatesException) {
+  // The exception is rethrown only after every task has drained: no task may
+  // still touch the caller's frame (here `done`) once the call unwinds.
   ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
-                                   if (i == 3) throw std::logic_error("bad index");
-                                 }),
+  std::atomic<int> done{0};
+  EXPECT_THROW(for_each_index(&pool, 8,
+                              [&](std::size_t, std::size_t i) {
+                                if (i == 3) throw std::logic_error("bad index");
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(2));
+                                done.fetch_add(1);
+                              }),
                std::logic_error);
+  // The throwing task stops at index 3, the other one pulls every remaining
+  // index: all seven others have finished by the time the call returns.
+  EXPECT_EQ(done.load(), 7);
 }
 
 TEST(ThreadPool, DestructorDrainsCleanly) {
@@ -146,9 +173,9 @@ TEST(ThreadPool, StatsCountSubmissionsAndPeakDepth) {
   stats.reset();
   {
     ThreadPool pool(2);
-    pool.parallel_for(24, [](std::size_t) {});
+    for_each_index(&pool, 24, [](std::size_t, std::size_t) {});
   }
-  EXPECT_EQ(stats.tasks.load(), 24u);
+  EXPECT_EQ(stats.tasks.load(), 2u);  // one task per worker
   EXPECT_GE(stats.max_queue_depth.load(), 1u);
   // Timing was off, so no latency samples were collected.
   EXPECT_EQ(stats.timed_tasks.load(), 0u);
@@ -161,15 +188,15 @@ TEST(ThreadPool, TimingCollectsWaitAndRunLatency) {
   ThreadPool::set_timing(true);
   {
     ThreadPool pool(2);
-    pool.parallel_for(8, [](std::size_t) {
+    for_each_index(&pool, 8, [](std::size_t, std::size_t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     });
   }
   ThreadPool::set_timing(false);
-  EXPECT_EQ(stats.timed_tasks.load(), 8u);
-  // 8 tasks x >= 1 ms each.
+  EXPECT_EQ(stats.timed_tasks.load(), 2u);
+  // 8 indices x >= 1 ms each, spread over the two tasks.
   EXPECT_GE(stats.run_ns_total.load(), 8u * 1'000'000u);
-  EXPECT_GE(stats.wait_ns_max.load(), stats.wait_ns_total.load() / 8);
+  EXPECT_GE(stats.wait_ns_max.load(), stats.wait_ns_total.load() / 2);
   stats.reset();
 }
 
@@ -179,9 +206,9 @@ TEST(ThreadPool, TimingOffCollectsNoLatency) {
   ASSERT_FALSE(ThreadPool::timing_enabled());
   {
     ThreadPool pool(2);
-    pool.parallel_for(4, [](std::size_t) {});
+    for_each_index(&pool, 4, [](std::size_t, std::size_t) {});
   }
-  EXPECT_EQ(stats.tasks.load(), 4u);
+  EXPECT_EQ(stats.tasks.load(), 2u);
   EXPECT_EQ(stats.timed_tasks.load(), 0u);
   stats.reset();
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -46,6 +47,20 @@ TEST(Generator, ProducesValidModel) {
   EXPECT_EQ(m.num_machines(), 12u);
   EXPECT_EQ(m.num_strings(), 25u);
   EXPECT_TRUE(m.validate().empty());
+}
+
+TEST(Generator, RejectsDegenerateShapes) {
+  util::Rng rng(3);
+  auto no_machines = GeneratorConfig::for_scenario(Scenario::kHighlyLoaded, 0.1);
+  no_machines.num_machines = 0;
+  EXPECT_THROW((void)generate(no_machines, rng), std::invalid_argument);
+  auto empty_strings = GeneratorConfig::for_scenario(Scenario::kHighlyLoaded, 0.1);
+  empty_strings.min_apps_per_string = 0;
+  EXPECT_THROW((void)generate(empty_strings, rng), std::invalid_argument);
+  auto inverted = GeneratorConfig::for_scenario(Scenario::kHighlyLoaded, 0.1);
+  inverted.min_apps_per_string = 4;
+  inverted.max_apps_per_string = 3;
+  EXPECT_THROW((void)generate(inverted, rng), std::invalid_argument);
 }
 
 TEST(Generator, ParameterRangesRespected) {

@@ -14,8 +14,7 @@ using TK = TokenKind;
 constexpr std::size_t npos = CallGraph::npos;
 
 bool is_pool_call(const std::string& name) {
-  return name == "submit" || name == "parallel_for" ||
-         name == "for_each_index" || name == "for_each";
+  return name == "submit" || name == "for_each_index" || name == "for_each";
 }
 
 /// Does any token in [begin, end] spell \p ident (comments excluded)?

@@ -522,7 +522,7 @@ void rule_rng_shared_capture(FileCheck& c) {
     return type_last == "Rng";
   };
   for (const Call& call : c.fs.calls) {
-    const bool pool_call = call.name == "submit" || call.name == "parallel_for" ||
+    const bool pool_call = call.name == "submit" ||
                            call.name == "for_each_index" ||
                            call.name == "for_each";
     if (!pool_call) continue;
