@@ -1,20 +1,9 @@
 # Static-analysis convenience targets:
-#   cmake --build build --target analyze       # tsce_analyze repo scan + SARIF
 #   cmake --build build --target tidy          # clang-tidy (.clang-tidy checks)
 #   cmake --build build --target format-check  # clang-format --dry-run -Werror
-# tidy and format-check degrade to a skip message when the LLVM tools are not
-# installed (the CI matrix has them; minimal build containers may not).
-# `analyze` needs only the project toolchain — tsce_analyze is built from this
-# repo — and also runs inside tier1 as a ctest case (tools/CMakeLists.txt).
-
-if(TSCE_BUILD_TOOLS)
-  add_custom_target(analyze
-    COMMAND $<TARGET_FILE:tsce_analyze> --root ${CMAKE_SOURCE_DIR}
-            --sarif ${CMAKE_BINARY_DIR}/tsce_analyze.sarif
-    COMMENT "tsce_analyze over src/, tools/, bench/, examples/, tests/ (SARIF to build/tsce_analyze.sarif)"
-    VERBATIM)
-  add_dependencies(analyze tsce_analyze)
-endif()
+# Both degrade to a skip message when the LLVM tools are not installed (the
+# CI matrix has them; minimal build containers may not).  The project's own
+# source rules run as tier-1 ctest cases (tests/gates).
 
 file(GLOB_RECURSE TSCE_TIDY_SOURCES CONFIGURE_DEPENDS
   ${CMAKE_SOURCE_DIR}/src/*.cpp
@@ -42,8 +31,6 @@ file(GLOB_RECURSE TSCE_FORMAT_SOURCES CONFIGURE_DEPENDS
   ${CMAKE_SOURCE_DIR}/bench/*.cpp ${CMAKE_SOURCE_DIR}/bench/*.hpp
   ${CMAKE_SOURCE_DIR}/examples/*.cpp
   ${CMAKE_SOURCE_DIR}/cmake/*.cpp)
-# Golden rule fixtures are analyzer inputs, not project code.
-list(FILTER TSCE_FORMAT_SOURCES EXCLUDE REGEX "/fixtures/")
 find_program(TSCE_CLANG_FORMAT_EXE NAMES clang-format clang-format-19
   clang-format-18 clang-format-17 clang-format-16 clang-format-15)
 if(TSCE_CLANG_FORMAT_EXE)

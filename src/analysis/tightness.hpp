@@ -28,10 +28,16 @@ namespace tsce::analysis {
 
 /// Strict priority order between deployed strings z and k given their
 /// tightness values: higher T wins; exact ties broken by lower string id.
+// The exact compare is the contract: equal tightness values tie, and the tie
+// goes to the lower string id.  A tolerance would make the order
+// intransitive, so this site stays outside the -Werror=float-equal gate.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
 [[nodiscard]] constexpr bool higher_priority(double t_z, model::StringId z, double t_k,
                                              model::StringId k) noexcept {
   if (t_z != t_k) return t_z > t_k;
   return z < k;
 }
+#pragma GCC diagnostic pop
 
 }  // namespace tsce::analysis

@@ -34,9 +34,15 @@ inline constexpr double kInfiniteBandwidth = std::numeric_limits<double>::infini
 /// Transfer time in seconds for \p kbytes over a route of \p mbps bandwidth.
 /// Returns 0 for infinite-bandwidth (intra-machine) routes; time-of-flight is
 /// negligible per the paper's assumptions.
+// Infinity is an exact sentinel, not a measured value, so == is the right
+// test; the pragma keeps this site outside the -Werror=float-equal gate of
+// the modules that include it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
 [[nodiscard]] constexpr double transfer_seconds(double kbytes, double mbps) noexcept {
   if (mbps == kInfiniteBandwidth) return 0.0;
   return kbytes_to_megabits(kbytes) / mbps;
 }
+#pragma GCC diagnostic pop
 
 }  // namespace tsce::model

@@ -12,7 +12,7 @@
 /// Registration is bounded (kMaxCounters/kMaxGauges/kMaxHistograms) so shard
 /// storage is a fixed-size block and handle references stay stable for the
 /// process lifetime.  Metric names are dotted paths ("decode.calls",
-/// "session.reject.latency").
+/// "session.reject.latency") registered in names.hpp.
 ///
 /// Hot-path modules that already keep local tallies (e.g. DecodeContext's
 /// lifetime counters) act as their own "shard": they fold into the registry's
@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/names.hpp"
 #include "util/json.hpp"
 
 namespace tsce::obs {
@@ -87,10 +88,11 @@ class MetricsRegistry {
 
   /// Returns the handle registered under \p name, creating it on first use.
   /// Handles are process-lifetime references.  Throws std::length_error when
-  /// the fixed capacity is exhausted.
-  [[nodiscard]] Counter& counter(std::string_view name);
-  [[nodiscard]] MaxGauge& gauge(std::string_view name);
-  [[nodiscard]] Histogram& histogram(std::string_view name);
+  /// the fixed capacity is exhausted.  \p name is a compile-time constant
+  /// from names.hpp (see MetricName).
+  [[nodiscard]] Counter& counter(MetricName name);
+  [[nodiscard]] MaxGauge& gauge(MetricName name);
+  [[nodiscard]] Histogram& histogram(MetricName name);
 
   /// Folds every thread's shard (live and exited) into one JSON document:
   /// {"counters": {...}, "gauges": {...}, "histograms": {...},

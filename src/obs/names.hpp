@@ -1,20 +1,21 @@
 /// \file names.hpp
-/// Single registry of every metric and trace-span/event name literal.
+/// Single registry of every metric and trace-span/event name, and the
+/// MetricName type that enforces it.
 ///
-/// All dotted-path name literals passed to MetricsRegistry::counter/gauge/
-/// histogram, obs::Span, and obs::trace_event live here as constexpr
-/// string_views.  Call sites in src/ reference these constants; call sites in
-/// bench/ and tools/ may keep inline literals, but tsce_analyze's
-/// metric-name-registry rule verifies every such literal is declared in this
-/// file — so the full telemetry vocabulary is greppable in one place and a
-/// typo ("decode.cals") fails the lint instead of silently creating a second
-/// time series.
+/// MetricsRegistry::counter/gauge/histogram, obs::Span and obs::trace_event
+/// take an obs::MetricName, whose only constructor is consteval and accepts
+/// only an entry of names::kAll (or a `test.`-prefixed name, reserved for
+/// tests).  So the full telemetry vocabulary is greppable in one place, and
+/// a typo ("decode.cals") or a name built at run time fails the build instead
+/// of silently creating a second time series.  tests/gates/CMakeLists.txt
+/// holds the compile-fail cases that keep this true.
 ///
 /// Naming convention: `<module>.<noun>[.<qualifier>]`, lower-case, dots as
 /// separators.  Span/event names double as trace_report group keys.
 
 #pragma once
 
+#include <array>
 #include <string_view>
 
 namespace tsce::obs::names {
@@ -88,4 +89,90 @@ inline constexpr std::string_view kBenchMicroEvent = "bench.micro.event";
 inline constexpr std::string_view kBenchMicroHdr = "bench.micro.hdr";
 inline constexpr std::string_view kBenchMicroFr = "bench.micro.fr";
 
+/// Every name above, in declaration order: the set MetricName accepts.  A
+/// constant missing from this list cannot be used as a metric or trace name.
+inline constexpr std::array kAll = {
+    kDecodeCalls,
+    kDecodeCommitsAttempted,
+    kDecodeStringsReused,
+    kDecodePrefixReuseLen,
+    kDecodeMemoHits,
+    kDecodeLatencyNs,
+    kSessionCommitLatencyNs,
+    kDynamicRemapLatencyNs,
+    kLpSolveLatencyNs,
+    kLpIterations,
+    kLpRefactorisations,
+    kDynamicRemapCalls,
+    kDynamicRemapRemapped,
+    kDynamicRemapDropped,
+    kDynamicRemapMigrations,
+    kSessionRejectUtilization,
+    kSessionRejectThroughput,
+    kSessionRejectLatency,
+    kSearchTrial,
+    kSearchRestart,
+    kSearchAnneal,
+    kSearchExact,
+    kSearchExactBranch,
+    kSearchClass,
+    kSearchImprove,
+    kSearchTemperSweep,
+    kSearchTemperReplica,
+    kSearchTemperExchange,
+    kTemperSweeps,
+    kTemperExchanges,
+    kTemperSwaps,
+    kFrDecode,
+    kFrCommitReject,
+    kFrRemap,
+    kFrAnomaly,
+    kFrMark,
+    kBenchAlloc,
+    kBenchUb,
+    kBenchMicroCounter,
+    kBenchMicroSpan,
+    kBenchMicroEvent,
+    kBenchMicroHdr,
+    kBenchMicroFr,
+};
+
 }  // namespace tsce::obs::names
+
+namespace tsce::obs {
+
+namespace detail {
+/// Declared, never defined, and not constexpr: a MetricName built from an
+/// unregistered name calls it during constant evaluation, so the build fails
+/// with an error that names it.
+void metric_name_not_registered_in_names_hpp();
+}  // namespace detail
+
+/// A metric or trace name known at compile time to be registered.
+class MetricName {
+ public:
+  // Implicit on purpose: call sites pass names::k* constants and test.*
+  // literals directly.  consteval rejects any name not known at compile time.
+  consteval MetricName(std::string_view name) : name_(name) {
+    if (!registered(name)) detail::metric_name_not_registered_in_names_hpp();
+  }
+  consteval MetricName(const char* name) : MetricName(std::string_view(name)) {}
+
+  [[nodiscard]] constexpr std::string_view view() const noexcept { return name_; }
+
+ private:
+  static consteval bool registered(std::string_view name) {
+    if (name.size() > kTestPrefix.size() && name.starts_with(kTestPrefix)) {
+      return true;
+    }
+    for (const std::string_view entry : names::kAll) {
+      if (entry == name) return true;
+    }
+    return false;
+  }
+
+  static constexpr std::string_view kTestPrefix = "test.";
+  std::string_view name_;
+};
+
+}  // namespace tsce::obs

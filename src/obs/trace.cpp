@@ -244,21 +244,21 @@ void trace_close() {
   s.file = nullptr;
 }
 
-void trace_event(std::string_view name, std::initializer_list<Field> fields) {
+void trace_event(MetricName name, std::initializer_list<Field> fields) {
   if (!tracing_active()) return;
   ThreadState& t = local_state();
-  append_event(t.buf, name, t.tid, since_open_ns(clock_ticks()),
+  append_event(t.buf, name.view(), t.tid, since_open_ns(clock_ticks()),
                fields.begin(), fields.size());
   maybe_flush(t);
 }
 
-Span::Span(std::string_view name) : Span(name, {}) {}
+Span::Span(MetricName name) : Span(name, {}) {}
 
-Span::Span(std::string_view name, std::initializer_list<Field> fields) {
+Span::Span(MetricName name, std::initializer_list<Field> fields) {
   if (!tracing_active()) return;
   active_ = true;
   start_ = clock_ticks();
-  name_ = name;
+  name_ = name.view();
   for (const Field& f : fields) {
     fields_ += ',';
     append_field(fields_, f);

@@ -44,6 +44,7 @@
 #include <string>
 #include <string_view>
 
+#include "obs/names.hpp"
 #include "obs/run_info.hpp"
 
 namespace tsce::obs {
@@ -85,8 +86,8 @@ bool trace_open(const std::string& path, const RunInfo& info);
 /// concurrently may be dropped.
 void trace_close();
 
-/// Emits an instantaneous event record.
-void trace_event(std::string_view name, std::initializer_list<Field> fields);
+/// Emits an instantaneous event record.  \p name is registered in names.hpp.
+void trace_event(MetricName name, std::initializer_list<Field> fields);
 
 /// RAII span: records name, start timestamp, and duration on destruction.
 /// Fields can be attached at construction or accumulated via add() before the
@@ -94,8 +95,8 @@ void trace_event(std::string_view name, std::initializer_list<Field> fields);
 /// restart, one bench run) — never the per-candidate decode path.
 class Span {
  public:
-  explicit Span(std::string_view name);
-  Span(std::string_view name, std::initializer_list<Field> fields);
+  explicit Span(MetricName name);
+  Span(MetricName name, std::initializer_list<Field> fields);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

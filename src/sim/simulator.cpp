@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "analysis/priority.hpp"
+#include "analysis/tightness.hpp"
 
 namespace tsce::sim {
 
@@ -132,37 +133,29 @@ SimResult simulate(const SystemModel& model, const Allocation& alloc,
   std::vector<double> route_busy(m * m, 0.0);
 
   // Per-machine / per-route resident lists, sorted by priority (tightest
-  // first; deterministic tie-break by string id then app index).
-  auto app_before = [&](const AppNode* a, const AppNode* b) {
-    if (tightness[static_cast<std::size_t>(a->k)] !=
-        tightness[static_cast<std::size_t>(b->k)]) {
-      return tightness[static_cast<std::size_t>(a->k)] >
-             tightness[static_cast<std::size_t>(b->k)];
+  // first; deterministic tie-break by string id then app index).  Apps and
+  // transfers of one string share its priority value, so the string order is
+  // analysis::higher_priority and only same-string entries fall back to the
+  // app index.
+  auto before = [&](const auto* a, const auto* b) {
+    if (a->k != b->k) {
+      return analysis::higher_priority(tightness[static_cast<std::size_t>(a->k)], a->k,
+                                       tightness[static_cast<std::size_t>(b->k)], b->k);
     }
-    if (a->k != b->k) return a->k < b->k;
-    return a->i < b->i;
-  };
-  auto edge_before = [&](const EdgeNode* a, const EdgeNode* b) {
-    if (tightness[static_cast<std::size_t>(a->k)] !=
-        tightness[static_cast<std::size_t>(b->k)]) {
-      return tightness[static_cast<std::size_t>(a->k)] >
-             tightness[static_cast<std::size_t>(b->k)];
-    }
-    if (a->k != b->k) return a->k < b->k;
     return a->i < b->i;
   };
   std::vector<std::vector<AppNode*>> machine_nodes(m);
   for (auto& node : app_nodes) {
     machine_nodes[static_cast<std::size_t>(node.machine)].push_back(&node);
   }
-  for (auto& nodes : machine_nodes) std::sort(nodes.begin(), nodes.end(), app_before);
+  for (auto& nodes : machine_nodes) std::sort(nodes.begin(), nodes.end(), before);
   std::vector<std::vector<EdgeNode*>> route_nodes(m * m);
   for (auto& edge : edge_nodes) {
     route_nodes[static_cast<std::size_t>(edge.j1) * m +
                 static_cast<std::size_t>(edge.j2)]
         .push_back(&edge);
   }
-  for (auto& nodes : route_nodes) std::sort(nodes.begin(), nodes.end(), edge_before);
+  for (auto& nodes : route_nodes) std::sort(nodes.begin(), nodes.end(), before);
 
   // Periodic sources.
   std::vector<std::size_t> released(q, 0);

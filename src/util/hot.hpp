@@ -1,14 +1,12 @@
 /// \file hot.hpp
 /// TSCE_HOT marks functions on the steady-state decode/evaluate hot path.
 ///
-/// The marker does two things: it hints the optimizer ([[gnu::hot]] where
-/// supported), and it roots the tsce_analyze `transitive-hot-alloc` rule,
-/// which forbids per-call heap allocation (`new`, make_unique/make_shared,
-/// push_back without a visible reserve) in the body and in every function
-/// it reaches.  The
-/// runtime counterpart is the heap-counting decode test
-/// (tests/core/no_alloc_decode_test.cpp), which asserts zero allocations on
-/// the warmed-up decode path.
+/// The marker hints the optimizer ([[gnu::hot]] where supported) and names
+/// the frames that must not allocate per call.  The gate is the heap-counting
+/// test (tests/core/no_alloc_decode_test.cpp): it drives warmed loops through
+/// the decode and memo paths, the LP FTRAN/BTRAN kernels and the histogram
+/// record path, and asserts zero allocations.  A new TSCE_HOT frame needs a
+/// loop there that reaches it.
 
 #pragma once
 

@@ -78,9 +78,17 @@ class Parser {
   }
 
   Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    switch (const char c = peek()) {
+      case '{':
+      case '[': {
+        if (depth_ == Json::kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Json nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -244,6 +252,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

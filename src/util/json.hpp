@@ -78,7 +78,12 @@ class Json {
   /// Appends an array element.
   void push_back(Json value);
 
-  /// Parses a complete JSON document (trailing whitespace allowed).
+  /// Deepest array/object nesting parse() accepts.  The parser recurses once
+  /// per level, so the cap bounds its stack use; models nest about 4 deep.
+  static constexpr std::size_t kMaxDepth = 128;
+
+  /// Parses a complete JSON document (trailing whitespace allowed).  Throws
+  /// JsonParseError on malformed input or nesting deeper than kMaxDepth.
   [[nodiscard]] static Json parse(std::string_view text);
 
   /// Serializes; \p indent < 0 is compact, otherwise pretty-printed with that

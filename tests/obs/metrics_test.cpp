@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/json.hpp"
@@ -169,21 +173,46 @@ TEST(Metrics, SnapshotFoldsThreadPoolStats) {
   EXPECT_GE(snapshot.at("thread_pool").at("queue_depth.max").as_number(), 1.0);
 }
 
+/// "test.metrics.cap.<I>", spelled at compile time: MetricName accepts only
+/// names the compiler can check.
+template <std::size_t I>
+struct CapName {
+  static constexpr std::string_view kPrefix = "test.metrics.cap.";
+  static constexpr auto kChars = [] {
+    std::array<char, kPrefix.size() + 2> chars{};
+    std::size_t n = 0;
+    for (const char c : kPrefix) chars[n++] = c;
+    chars[n++] = static_cast<char>('0' + I / 10);
+    chars[n] = static_cast<char>('0' + I % 10);
+    return chars;
+  }();
+  static constexpr std::string_view kName{kChars.data(), kChars.size()};
+};
+
+/// Registers gauge CapName<I> for each I in order; true once one throws
+/// std::length_error (the rest are skipped).
+template <std::size_t... I>
+bool register_until_full(MetricsRegistry& registry, std::index_sequence<I...>) {
+  bool threw = false;
+  auto add = [&](MetricName name) {
+    if (threw) return;
+    try {
+      (void)registry.gauge(name);
+    } catch (const std::length_error&) {
+      threw = true;
+    }
+  };
+  (add(CapName<I>::kName), ...);
+  return threw;
+}
+
 // Registers gauges until the fixed capacity trips.  Runs last in this suite:
 // it permanently consumes the process's remaining gauge slots (handles are
 // process-lifetime), which no later test in this binary needs.
 TEST(Metrics, ZCapacityExhaustionThrows) {
   auto& registry = MetricsRegistry::instance();
-  bool threw = false;
-  for (std::size_t i = 0; i <= MetricsRegistry::kMaxGauges; ++i) {
-    try {
-      (void)registry.gauge("test.metrics.cap." + std::to_string(i));
-    } catch (const std::length_error&) {
-      threw = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(threw);
+  EXPECT_TRUE(register_until_full(
+      registry, std::make_index_sequence<MetricsRegistry::kMaxGauges + 1>{}));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <limits>
+#include <string>
 
 namespace tsce::util {
 namespace {
@@ -73,6 +74,30 @@ TEST(Json, ParseErrorCarriesOffset) {
   } catch (const JsonParseError& e) {
     EXPECT_EQ(e.offset(), 4u);
   }
+}
+
+TEST(Json, NestingCapIsExactAndNamesTheOffset) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)Json::parse(nested(Json::kMaxDepth)));
+  try {
+    (void)Json::parse(nested(Json::kMaxDepth + 1));
+    FAIL() << "expected JsonParseError";
+  } catch (const JsonParseError& e) {
+    EXPECT_EQ(e.offset(), Json::kMaxDepth);
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("at offset " + std::to_string(Json::kMaxDepth)),
+              std::string::npos);
+  }
+  // A million unclosed brackets once overflowed the stack; the cap stops the
+  // recursion at the first level past it.
+  EXPECT_THROW((void)Json::parse(std::string(1'000'000, '[')), JsonParseError);
+  std::string objects;
+  for (int i = 0; i < 1'000'000; ++i) objects += R"({"a":)";
+  EXPECT_THROW((void)Json::parse(objects), JsonParseError);
+  const std::string mixed = R"({"a":)" + nested(Json::kMaxDepth) + "}";
+  EXPECT_THROW((void)Json::parse(mixed), JsonParseError);
 }
 
 TEST(Json, TypeMismatchThrows) {
