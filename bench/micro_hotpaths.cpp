@@ -14,6 +14,7 @@
 #include "analysis/session.hpp"
 #include "core/decode.hpp"
 #include "core/evaluator.hpp"
+#include "core/exact.hpp"
 #include "core/imr.hpp"
 #include "core/local_search.hpp"
 #include "core/psg.hpp"
@@ -204,6 +205,36 @@ void BM_AnnealTempering(benchmark::State& state) {
   state.counters["worth"] = static_cast<double>(worth);
 }
 BENCHMARK(BM_AnnealTempering)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+/// One exact search (branch-and-bound over orderings, one thread, budget
+/// that does not bind) on a scenario-1 instance; Args = (machines, strings,
+/// generator seed).  edges counts the tree edges (string commits) of one
+/// search; the per-Q table in ROADMAP item 5 comes from this benchmark.
+void BM_ExactSearch(benchmark::State& state) {
+  const auto m = make_instance(static_cast<std::size_t>(state.range(0)),
+                               static_cast<std::size_t>(state.range(1)),
+                               static_cast<std::uint64_t>(state.range(2)));
+  const core::ExactPermutationSearch exact;
+  std::size_t edges = 0;
+  int worth = 0;
+  for (auto _ : state) {
+    util::Rng rng(1);
+    const auto result = exact.allocate(m, rng);
+    edges = result.evaluations;
+    worth = result.fitness.total_worth;
+    benchmark::DoNotOptimize(result.fitness);
+  }
+  state.counters["edges"] = static_cast<double>(edges);
+  state.counters["worth"] = static_cast<double>(worth);
+}
+BENCHMARK(BM_ExactSearch)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (std::int64_t seed = 1; seed <= 3; ++seed) {
+        b->Args({8, 8, seed});
+        for (std::int64_t q = 7; q <= 10; ++q) b->Args({4, q, seed});
+      }
+    })
     ->Unit(benchmark::kMillisecond);
 
 /// Registry counter total (0 before the first fold of that counter).

@@ -1,9 +1,13 @@
 #include "core/exact.hpp"
 
+#include <algorithm>
 #include <cstdint>
-#include <stdexcept>
+#include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "analysis/utilization.hpp"
 #include "core/decode.hpp"
 #include "core/evaluator.hpp"
 #include "obs/names.hpp"
@@ -17,6 +21,24 @@ using model::SystemModel;
 
 namespace {
 
+/// Slack added to the level bound: the session sums utilizations in its own
+/// order, so a final maximum may round a few ulps below the bound's level.
+constexpr double kLevelGuard = 1e-9;
+
+/// Least machine utilization each string adds wherever it is mapped: the sum
+/// over its apps of the smallest t*u/P over machines (eq. 2).
+std::vector<double> least_utilization(const analysis::CoefficientTables& c) {
+  std::vector<double> least(c.period.size(), 0.0);
+  for (std::size_t k = 0; k < least.size(); ++k) {
+    for (std::size_t row = c.app_off[k] * c.machines; row < c.app_off[k + 1] * c.machines;
+         row += c.machines) {
+      least[k] += *std::min_element(c.machine_delta.begin() + row,
+                                    c.machine_delta.begin() + row + c.machines);
+    }
+  }
+  return least;
+}
+
 /// Depth-first enumeration state on top of the incremental decode engine:
 /// DecodeContext supplies push/pop string commits, so each tree edge costs
 /// one IMR mapping plus the suffix-local feasibility re-analysis.  The
@@ -24,10 +46,15 @@ namespace {
 /// runs on a worker's long-lived context.
 class Enumerator {
  public:
+  /// \p floor, when set, is a fitness an earlier branch reached: the fold
+  /// keeps that branch on a tie, so this one matters only where it does
+  /// strictly better, and subtrees that cannot are pruned.
   Enumerator(const SystemModel& model, DecodeContext& ctx,
-             std::size_t max_evaluations)
-      : model_(model), ctx_(ctx), max_evaluations_(max_evaluations),
-        used_(model.num_strings(), false) {
+             std::span<const double> least_util, std::size_t max_evaluations,
+             std::optional<Fitness> floor)
+      : model_(model), ctx_(ctx), least_util_(least_util),
+        max_evaluations_(max_evaluations), used_(model.num_strings(), false),
+        levels_(model.num_machines(), 0.0), bar_(floor) {
     remaining_worth_ = model.total_worth_available();
   }
 
@@ -68,6 +95,7 @@ class Enumerator {
       best_allocation_ = ctx_.allocation();
       best_order_.assign(ctx_.committed().begin(), ctx_.committed().end());
       have_best_ = true;
+      if (!bar_ || *bar_ < fitness) bar_ = fitness;
       obs::trace_event(obs::names::kSearchImprove,
                        {{"phase", "Exact"},
                         {"iteration", std::uint64_t{evaluations_}},
@@ -76,14 +104,72 @@ class Enumerator {
     }
   }
 
+  /// The best fitness any completion of the current prefix can decode to.
+  /// Worth: the prefix's plus every remaining string's.  Slackness: never
+  /// above the prefix's, since committing a string only adds utilization.
+  /// When skipping any one remaining string already loses to the bar's
+  /// worth, only completions that deploy all of them can tie it, and those
+  /// leave the most loaded machine at completion_level() or higher.
+  Fitness bound(const Fitness& current) {
+    Fitness cap{current.total_worth + remaining_worth_, current.slackness};
+    int least_worth = std::numeric_limits<int>::max();
+    double fill = 0.0;
+    for (std::size_t k = 0; k < used_.size(); ++k) {
+      if (used_[k]) continue;
+      least_worth = std::min(least_worth, model_.strings[k].worth_factor());
+      fill += least_util_[k];
+    }
+    if (least_worth != std::numeric_limits<int>::max() &&
+        cap.total_worth - least_worth < bar_->total_worth) {
+      cap.slackness =
+          std::min(cap.slackness, 1.0 - completion_level(fill) + kLevelGuard);
+    }
+    return cap;
+  }
+
+  /// A utilization the most loaded machine reaches once every remaining
+  /// string is deployed, from the current machine utilizations U_j:
+  /// - water-filling: the remaining strings add at least \p fill in total,
+  ///   so some machine ends at or above the level L with
+  ///   sum_j max(0, L - U_j) = fill;
+  /// - largest app: each remaining app leaves the machine it lands on at
+  ///   U_j plus its utilization there, so at least the minimum over j.
+  double completion_level(double fill) {
+    const analysis::UtilizationState& util = ctx_.util();
+    const analysis::CoefficientTables& c = util.coefficients();
+    for (std::size_t j = 0; j < levels_.size(); ++j) {
+      levels_[j] = util.machine_util(static_cast<model::MachineId>(j));
+    }
+    double app_level = 0.0;
+    for (std::size_t k = 0; k < used_.size(); ++k) {
+      if (used_[k]) continue;
+      for (std::size_t row = c.app_off[k] * c.machines;
+           row < c.app_off[k + 1] * c.machines; row += c.machines) {
+        double lowest = std::numeric_limits<double>::infinity();
+        for (std::size_t j = 0; j < levels_.size(); ++j) {
+          lowest = std::min(lowest, levels_[j] + c.machine_delta[row + j]);
+        }
+        app_level = std::max(app_level, lowest);
+      }
+    }
+    std::sort(levels_.begin(), levels_.end());
+    double poured = fill;
+    std::size_t j = 0;
+    for (; j + 1 < levels_.size(); ++j) {
+      poured += levels_[j];
+      if (poured / static_cast<double>(j + 1) <= levels_[j + 1]) break;
+    }
+    if (j + 1 == levels_.size()) poured += levels_[j];
+    return std::max(app_level, poured / static_cast<double>(j + 1));
+  }
+
   void descend() {
     if (evaluations_ >= max_evaluations_) return;
-    // Bound: even deploying every remaining string cannot beat the best.
+    // Bound: no completion can beat the bar, and a tie keeps the incumbent
+    // (consider replaces only on a strict improvement) or the earlier
+    // branch (so does the fold).
     const Fitness current = ctx_.fitness();
-    if (have_best_ &&
-        current.total_worth + remaining_worth_ < best_fitness_.total_worth) {
-      return;
-    }
+    if (bar_ && bound(current) <= *bar_) return;
     bool leaf = true;
     const auto q = static_cast<StringId>(model_.num_strings());
     for (StringId k = 0; k < q; ++k) {
@@ -110,10 +196,16 @@ class Enumerator {
 
   const SystemModel& model_;
   DecodeContext& ctx_;
+  std::span<const double> least_util_;
   std::size_t max_evaluations_;
   std::size_t evaluations_ = 0;
   std::vector<bool> used_;
   int remaining_worth_ = 0;
+  /// Machine utilizations of the current prefix (completion_level scratch).
+  std::vector<double> levels_;
+  /// What a subtree must beat to be searched: the larger of the incumbent
+  /// and the floor.
+  std::optional<Fitness> bar_;
 
   bool have_best_ = false;
   Fitness best_fitness_{};
@@ -125,21 +217,16 @@ class Enumerator {
 
 AllocatorResult ExactPermutationSearch::allocate(const SystemModel& model,
                                                  util::Rng& /*rng*/) const {
-  if (model.num_strings() > options_.max_strings) {
-    throw std::invalid_argument(
-        "ExactPermutationSearch: instance too large (" +
-        std::to_string(model.num_strings()) + " strings > max " +
-        std::to_string(options_.max_strings) + ")");
-  }
   obs::Span span(obs::names::kSearchExact,
                  {{"phase", "Exact"},
                   {"threads", std::uint64_t{options_.threads}}});
 
   // The top level of the tree is split into one task per first string, each
-  // enumerated independently with its own bound and an equal slice of the
-  // evaluation budget, so no task's pruning depends on another task's
-  // timing.  The fold walks branches in index order (strictly-better wins),
-  // which makes the result byte-identical at any worker count.
+  // enumerated with its own incumbent and an equal slice of the evaluation
+  // budget.  Branch 0 runs first and its optimum is the floor of every other
+  // branch; nothing a task prunes depends on another task's timing.  The
+  // fold walks branches in index order (strictly-better wins), which makes
+  // the result byte-identical at any worker count.
   const std::size_t q = model.num_strings();
   struct Branch {
     Fitness fitness{};
@@ -151,12 +238,14 @@ AllocatorResult ExactPermutationSearch::allocate(const SystemModel& model,
   std::vector<Branch> branches(q);
   const std::size_t slice = std::max<std::size_t>(
       1, options_.max_evaluations / std::max<std::size_t>(1, q));
-  BatchEvaluator evaluator(model, options_.threads);
-  evaluator.for_each(q, [&](std::size_t k, DecodeContext& ctx) {
+  const std::vector<double> least_util =
+      least_utilization(analysis::CoefficientTables(model));
+  auto search_branch = [&](std::size_t k, DecodeContext& ctx,
+                           std::optional<Fitness> floor) {
     obs::Span branch_span(obs::names::kSearchExactBranch,
                           {{"phase", "Exact"}, {"branch", std::uint64_t{k}}});
     ctx.rewind_to(0);
-    Enumerator enumerator(model, ctx, slice);
+    Enumerator enumerator(model, ctx, least_util, slice, floor);
     enumerator.run_branch(static_cast<StringId>(k));
     branches[k].fitness = enumerator.best_fitness();
     branches[k].allocation = enumerator.best_allocation();
@@ -166,7 +255,18 @@ AllocatorResult ExactPermutationSearch::allocate(const SystemModel& model,
     branch_span.add("evaluations", static_cast<double>(enumerator.evaluations()));
     branch_span.add("worth",
                     static_cast<double>(enumerator.best_fitness().total_worth));
-  });
+  };
+  BatchEvaluator evaluator(model, options_.threads);
+  if (q > 0) {
+    evaluator.for_each(1, [&](std::size_t, DecodeContext& ctx) {
+      search_branch(0, ctx, std::nullopt);
+    });
+    const std::optional<Fitness> floor =
+        branches[0].have ? std::optional<Fitness>(branches[0].fitness) : std::nullopt;
+    evaluator.for_each(q - 1, [&](std::size_t i, DecodeContext& ctx) {
+      search_branch(i + 1, ctx, floor);
+    });
+  }
 
   // Seed the reduction with the empty prefix, then fold branches in index
   // order.

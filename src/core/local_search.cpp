@@ -125,9 +125,10 @@ double energy(const Fitness& f) noexcept {
   return static_cast<double>(f.total_worth) + f.slackness;
 }
 
-/// One chain of the tempering ladder: its own order, rng stream, prefix-reuse
-/// decode context, temperature, and per-replica incumbent.  Everything a
-/// sweep task touches lives here, so replicas never share mutable state.
+/// One chain of the tempering ladder: its own order, rng stream, decode
+/// context (prefix reuse and the decisive-prefix memo), temperature, and
+/// per-replica incumbent.  Everything a sweep task touches lives here, so
+/// replicas never share mutable state.
 struct TemperReplica {
   std::vector<StringId> order;
   Fitness fitness{};  ///< fitness of the current order
@@ -154,14 +155,14 @@ void temper_steps(TemperReplica& rep, std::size_t steps) {
     std::size_t j = rep.rng.bounded(q);
     while (j == i) j = rep.rng.bounded(q);
     std::swap(rep.order[i], rep.order[j]);
-    const DecodeOutcome neighbor = decode_order_into(*rep.ctx, rep.order);
+    const Fitness neighbor = decode_fitness_into(*rep.ctx, rep.order);
     ++rep.evaluations;
-    const double delta = energy(neighbor.fitness) - energy(rep.fitness);
+    const double delta = energy(neighbor) - energy(rep.fitness);
     const bool accept =
         delta >= 0.0 ||
         rep.rng.uniform() < std::exp(delta / std::max(rep.temperature, 1e-9));
     if (accept) {
-      rep.fitness = neighbor.fitness;
+      rep.fitness = neighbor;
       if (rep.best_fitness < rep.fitness) {
         rep.best_fitness = rep.fitness;
         rep.best_order = rep.order;
@@ -250,7 +251,7 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
   // each), in parallel.
   util::for_each_index(pool.get(), replicas, [&](std::size_t, std::size_t r) {
     TemperReplica& rep = reps[r];
-    rep.fitness = decode_order_into(*rep.ctx, rep.order).fitness;
+    rep.fitness = decode_fitness_into(*rep.ctx, rep.order);
     ++rep.evaluations;
     rep.best_fitness = rep.fitness;
     rep.best_order = rep.order;

@@ -119,7 +119,6 @@ std::string annealing_result(const SystemModel& model, std::size_t threads) {
 
 std::string exact_result(const SystemModel& model, std::size_t threads) {
   core::ExactSearchOptions options;
-  options.max_strings = 12;     // audit models carry 12 strings
   options.max_evaluations = 2500;  // budget-truncated: keeps TSan runs fast
   options.threads = threads;
   util::Rng rng(29);
