@@ -398,11 +398,11 @@ void BM_DagMapString(benchmark::State& state) {
   config.num_machines = static_cast<std::size_t>(state.range(0));
   config.num_strings = 12;
   const auto m = dag::generate_dag_system(config, rng);
-  const dag::DagUtilization util(m);
+  const analysis::Loads loads(m.num_machines());
   std::size_t k = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        dag::dag_map_string(m, util, static_cast<model::StringId>(k)));
+        dag::dag_map_string(m, loads, static_cast<model::StringId>(k)));
     k = (k + 1) % m.num_strings();
   }
 }

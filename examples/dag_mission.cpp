@@ -14,8 +14,9 @@
 
 #include <cstdio>
 
+#include "analysis/feasibility.hpp"
 #include "dag/allocator.hpp"
-#include "dag/model.hpp"
+#include "model/dag.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -92,15 +93,15 @@ int main() {
   }
   table.print();
 
-  const auto est = dag::estimate_all(system, result.allocation);
+  const auto est = analysis::estimate_all(system, result.allocation);
   double chain_sum = 0.0;
   for (const double c : est.comp[0]) chain_sum += c;
   for (const double t : est.tran[0]) chain_sum += t;
-  const double critical = est.latency(system, 0);
+  const double critical = est.latency(0);
   std::printf("\nmission latency: critical path %.2f s (chain-sum bound would "
               "be %.2f s) against Lmax = %.2f s\n",
               critical, chain_sum, system.strings[0].max_latency_s);
-  const auto report = dag::check_feasibility(system, result.allocation);
+  const auto report = analysis::check_feasibility(system, result.allocation);
   std::printf("two-stage feasibility: %s\n", report.feasible() ? "PASS" : "FAIL");
   return report.feasible() ? 0 : 1;
 }

@@ -7,7 +7,6 @@ namespace tsce::analysis {
 using model::Allocation;
 using model::MachineId;
 using model::StringId;
-using model::SystemModel;
 
 std::string Violation::to_string() const {
   char buf[160];
@@ -37,75 +36,64 @@ std::string Violation::to_string() const {
   return buf;
 }
 
-FeasibilityReport check_stage_one(const UtilizationState& util) {
-  FeasibilityReport report;
-  const auto m = static_cast<MachineId>(util.num_machines());
+namespace {
+
+/// Records \p v, clearing \p stage_ok, unless its value is within its bound.
+void check(FeasibilityReport& report, bool& stage_ok, const Violation& v) {
+  if (within(v.value, v.bound)) return;
+  stage_ok = false;
+  report.violations.push_back(v);
+}
+
+/// Stage one, eqs. (2)-(3): every machine and route load is at most 1.
+void check_stage_one(const Loads& loads, FeasibilityReport& report) {
+  const auto m = static_cast<MachineId>(loads.machine.size());
   for (MachineId j = 0; j < m; ++j) {
-    const double u = util.machine_util(j);
-    if (!within(u, 1.0)) {
-      report.stage_one_ok = false;
-      report.violations.push_back(
-          {ViolationKind::kMachineOverload, model::kInvalidId, model::kInvalidId, j, model::kInvalidId, u, 1.0});
-    }
+    check(report, report.stage_one_ok,
+          {.kind = ViolationKind::kMachineOverload, .j1 = j,
+           .value = loads.machine[static_cast<std::size_t>(j)], .bound = 1.0});
   }
   for (MachineId j1 = 0; j1 < m; ++j1) {
     for (MachineId j2 = 0; j2 < m; ++j2) {
       if (j1 == j2) continue;
-      const double u = util.route_util(j1, j2);
-      if (!within(u, 1.0)) {
-        report.stage_one_ok = false;
-        report.violations.push_back(
-            {ViolationKind::kRouteOverload, model::kInvalidId, model::kInvalidId, j1, j2, u, 1.0});
-      }
+      check(report, report.stage_one_ok,
+            {.kind = ViolationKind::kRouteOverload, .j1 = j1, .j2 = j2,
+             .value = loads.route_util(j1, j2), .bound = 1.0});
     }
   }
-  return report;
 }
 
-FeasibilityReport check_stage_two(const SystemModel& model, const Allocation& alloc,
-                                  const TimeEstimates& est) {
-  FeasibilityReport report;
+/// Stage two, eq. (1) on the eqs. (5)-(6) estimates: throughput per app and
+/// transfer, and end-to-end latency per deployed string.
+void check_stage_two(const dag::DagSystemModel& model, const Allocation& alloc,
+                     const TimeEstimates& est, FeasibilityReport& report) {
   for (std::size_t k = 0; k < model.num_strings(); ++k) {
-    if (!alloc.deployed(static_cast<StringId>(k))) continue;
-    const auto& s = model.strings[k];
-    const double p = s.period_s;
+    const auto kid = static_cast<StringId>(k);
+    if (!alloc.deployed(kid)) continue;
+    const double p = model.strings[k].period_s;
     for (std::size_t i = 0; i < est.comp[k].size(); ++i) {
-      if (!within(est.comp[k][i], p)) {
-        report.stage_two_ok = false;
-        report.violations.push_back({ViolationKind::kCompThroughput,
-                                     static_cast<StringId>(k),
-                                     static_cast<model::AppIndex>(i), model::kInvalidId, model::kInvalidId,
-                                     est.comp[k][i], p});
-      }
+      check(report, report.stage_two_ok,
+            {.kind = ViolationKind::kCompThroughput, .k = kid,
+             .i = static_cast<model::AppIndex>(i), .value = est.comp[k][i], .bound = p});
     }
     for (std::size_t i = 0; i < est.tran[k].size(); ++i) {
-      if (!within(est.tran[k][i], p)) {
-        report.stage_two_ok = false;
-        report.violations.push_back({ViolationKind::kTranThroughput,
-                                     static_cast<StringId>(k),
-                                     static_cast<model::AppIndex>(i), model::kInvalidId, model::kInvalidId,
-                                     est.tran[k][i], p});
-      }
+      check(report, report.stage_two_ok,
+            {.kind = ViolationKind::kTranThroughput, .k = kid,
+             .i = static_cast<model::AppIndex>(i), .value = est.tran[k][i], .bound = p});
     }
-    const double latency = est.latency(static_cast<StringId>(k));
-    if (!within(latency, s.max_latency_s)) {
-      report.stage_two_ok = false;
-      report.violations.push_back({ViolationKind::kLatency, static_cast<StringId>(k),
-                                   model::kInvalidId, model::kInvalidId, model::kInvalidId, latency, s.max_latency_s});
-    }
+    check(report, report.stage_two_ok,
+          {.kind = ViolationKind::kLatency, .k = kid, .value = est.latency(kid),
+           .bound = model.strings[k].max_latency_s});
   }
-  return report;
 }
 
-FeasibilityReport check_feasibility(const SystemModel& model, const Allocation& alloc,
-                                    PriorityRule rule) {
-  const UtilizationState util = UtilizationState::from_allocation(model, alloc);
-  FeasibilityReport report = check_stage_one(util);
-  const TimeEstimates est = estimate_all(model, alloc, rule);
-  FeasibilityReport stage_two = check_stage_two(model, alloc, est);
-  report.stage_two_ok = stage_two.stage_two_ok;
-  report.violations.insert(report.violations.end(), stage_two.violations.begin(),
-                           stage_two.violations.end());
+}  // namespace
+
+FeasibilityReport check_feasibility(const dag::DagSystemModel& model,
+                                    const Allocation& alloc, PriorityRule rule) {
+  FeasibilityReport report;
+  check_stage_one(loads_of(model, alloc), report);
+  check_stage_two(model, alloc, estimate_all(model, alloc, rule), report);
   return report;
 }
 

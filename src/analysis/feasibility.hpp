@@ -4,7 +4,9 @@
 /// Stage one: every machine and route utilization is at most 1 (eqs. 2-3).
 /// Stage two: with local scheduling prioritized by relative tightness, the
 /// estimated computation/transfer times (eqs. 5-6) satisfy the throughput and
-/// end-to-end latency constraints (eq. 1) for every deployed string.
+/// end-to-end latency constraints (eq. 1) for every deployed string.  Both
+/// stages read the one from-scratch reference of estimates.hpp, for chains
+/// and DAG strings alike.
 
 #pragma once
 
@@ -53,19 +55,19 @@ struct FeasibilityReport {
   [[nodiscard]] bool feasible() const noexcept { return stage_one_ok && stage_two_ok; }
 };
 
-/// Stage-one check on precomputed utilizations.
-[[nodiscard]] FeasibilityReport check_stage_one(const UtilizationState& util);
-
-/// Stage-two check on precomputed estimates.
-[[nodiscard]] FeasibilityReport check_stage_two(const model::SystemModel& model,
-                                                const model::Allocation& alloc,
-                                                const TimeEstimates& est);
-
 /// Full two-stage analysis of \p alloc from scratch.  Both stages always run
 /// so the report lists all violations.  \p rule selects the local-scheduler
 /// priority policy stage two assumes (paper default: relative tightness).
+/// Stage two bounds each string's critical-path latency (estimates.hpp).
 [[nodiscard]] FeasibilityReport check_feasibility(
-    const model::SystemModel& model, const model::Allocation& alloc,
+    const dag::DagSystemModel& model, const model::Allocation& alloc,
     PriorityRule rule = PriorityRule::kRelativeTightness);
+
+/// The same for linear strings, analyzed as path graphs.
+[[nodiscard]] inline FeasibilityReport check_feasibility(
+    const model::SystemModel& model, const model::Allocation& alloc,
+    PriorityRule rule = PriorityRule::kRelativeTightness) {
+  return check_feasibility(dag::lift(model), alloc, rule);
+}
 
 }  // namespace tsce::analysis

@@ -1,6 +1,6 @@
 #include "analysis/metrics.hpp"
 
-#include "analysis/utilization.hpp"
+#include "analysis/estimates.hpp"
 
 namespace tsce::analysis {
 
@@ -18,12 +18,14 @@ int total_worth(const SystemModel& model, const Allocation& alloc) noexcept {
   return worth;
 }
 
-double system_slackness(const SystemModel& model, const Allocation& alloc) {
-  return UtilizationState::from_allocation(model, alloc).slackness();
-}
-
-Fitness evaluate(const SystemModel& model, const Allocation& alloc) {
-  return {total_worth(model, alloc), system_slackness(model, alloc)};
+Fitness evaluate(const dag::DagSystemModel& model, const Allocation& alloc) {
+  int worth = 0;
+  for (std::size_t k = 0; k < model.num_strings(); ++k) {
+    if (alloc.deployed(static_cast<StringId>(k))) {
+      worth += model.strings[k].worth_factor();
+    }
+  }
+  return {worth, loads_of(model, alloc).slackness()};
 }
 
 }  // namespace tsce::analysis

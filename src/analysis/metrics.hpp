@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "model/allocation.hpp"
+#include "model/dag.hpp"
 #include "model/system_model.hpp"
 
 namespace tsce::analysis {
@@ -42,12 +43,15 @@ struct Fitness {
 [[nodiscard]] int total_worth(const model::SystemModel& model,
                               const model::Allocation& alloc) noexcept;
 
-/// System slackness Lambda, eq. (7).
-[[nodiscard]] double system_slackness(const model::SystemModel& model,
-                                      const model::Allocation& alloc);
-
-/// Both components at once.
-[[nodiscard]] Fitness evaluate(const model::SystemModel& model,
+/// Total worth and system slackness Lambda, eq. (7), from scratch
+/// (estimates.hpp's loads).
+[[nodiscard]] Fitness evaluate(const dag::DagSystemModel& model,
                                const model::Allocation& alloc);
+
+/// The same for linear strings, analyzed as path graphs.
+[[nodiscard]] inline Fitness evaluate(const model::SystemModel& model,
+                                      const model::Allocation& alloc) {
+  return evaluate(dag::lift(model), alloc);
+}
 
 }  // namespace tsce::analysis

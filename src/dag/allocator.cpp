@@ -4,6 +4,8 @@
 #include <limits>
 #include <numeric>
 
+#include "analysis/feasibility.hpp"
+
 namespace tsce::dag {
 
 namespace {
@@ -15,8 +17,11 @@ double intensity(const DagString& s, AppIndex i) {
 
 }  // namespace
 
+using analysis::app_load;
+using analysis::edge_load;
+
 std::vector<MachineId> dag_map_string(const DagSystemModel& model,
-                                      const DagUtilization& util, StringId k) {
+                                      const analysis::Loads& loads, StringId k) {
   const auto& s = model.strings[static_cast<std::size_t>(k)];
   const auto n = static_cast<AppIndex>(s.size());
   const auto machines = static_cast<MachineId>(model.num_machines());
@@ -34,33 +39,33 @@ std::vector<MachineId> dag_map_string(const DagSystemModel& model,
   const auto out = s.edges_out();
   std::vector<bool> assigned(static_cast<std::size_t>(n), false);
 
+  // Calls fn(e, j1, j2) for each edge e between i and a placed neighbor, with
+  // j1 -> j2 the route e would cross were i on machine j: in-edges first,
+  // then out-edges, each in edge order.
+  auto for_placed_edges = [&](AppIndex i, MachineId j, auto&& fn) {
+    for (const std::size_t e : in[static_cast<std::size_t>(i)]) {
+      const auto from = static_cast<std::size_t>(s.edges[e].from);
+      if (assigned[from]) fn(e, assignment[from], j);
+    }
+    for (const std::size_t e : out[static_cast<std::size_t>(i)]) {
+      const auto to = static_cast<std::size_t>(s.edges[e].to);
+      if (assigned[to]) fn(e, j, assignment[to]);
+    }
+  };
+
   auto place = [&](AppIndex i) {
     // Candidate score: max of machine utilization and the utilization of all
     // routes linking i to already-assigned neighbors.
     MachineId best_j = 0;
     double best_score = std::numeric_limits<double>::infinity();
     for (MachineId j = 0; j < machines; ++j) {
-      double score = util.machine_util(j) +
-                     machine_extra[static_cast<std::size_t>(j)] +
-                     util.machine_delta(k, i, j);
-      for (const std::size_t e : in[static_cast<std::size_t>(i)]) {
-        const AppIndex from = s.edges[e].from;
-        if (!assigned[static_cast<std::size_t>(from)]) continue;
-        const MachineId j1 = assignment[static_cast<std::size_t>(from)];
-        if (j1 == j) continue;
-        score = std::max(score, util.route_util(j1, j) +
-                                    route_extra[route_index(j1, j)] +
-                                    util.route_delta(k, e, j1, j));
-      }
-      for (const std::size_t e : out[static_cast<std::size_t>(i)]) {
-        const AppIndex to = s.edges[e].to;
-        if (!assigned[static_cast<std::size_t>(to)]) continue;
-        const MachineId j2 = assignment[static_cast<std::size_t>(to)];
-        if (j2 == j) continue;
-        score = std::max(score, util.route_util(j, j2) +
-                                    route_extra[route_index(j, j2)] +
-                                    util.route_delta(k, e, j, j2));
-      }
+      double score = loads.machine[static_cast<std::size_t>(j)] +
+                     machine_extra[static_cast<std::size_t>(j)] + app_load(s, i, j);
+      for_placed_edges(i, j, [&](std::size_t e, MachineId j1, MachineId j2) {
+        if (j1 == j2) return;
+        score = std::max(score, loads.route_util(j1, j2) + route_extra[route_index(j1, j2)] +
+                                    edge_load(model.network, s, e, j1, j2));
+      });
       if (score < best_score) {
         best_score = score;
         best_j = j;
@@ -68,23 +73,10 @@ std::vector<MachineId> dag_map_string(const DagSystemModel& model,
     }
     assignment[static_cast<std::size_t>(i)] = best_j;
     assigned[static_cast<std::size_t>(i)] = true;
-    machine_extra[static_cast<std::size_t>(best_j)] += util.machine_delta(k, i, best_j);
-    for (const std::size_t e : in[static_cast<std::size_t>(i)]) {
-      const AppIndex from = s.edges[e].from;
-      if (!assigned[static_cast<std::size_t>(from)]) continue;
-      const MachineId j1 = assignment[static_cast<std::size_t>(from)];
-      if (j1 != best_j) {
-        route_extra[route_index(j1, best_j)] += util.route_delta(k, e, j1, best_j);
-      }
-    }
-    for (const std::size_t e : out[static_cast<std::size_t>(i)]) {
-      const AppIndex to = s.edges[e].to;
-      if (!assigned[static_cast<std::size_t>(to)]) continue;
-      const MachineId j2 = assignment[static_cast<std::size_t>(to)];
-      if (j2 != best_j) {
-        route_extra[route_index(best_j, j2)] += util.route_delta(k, e, best_j, j2);
-      }
-    }
+    machine_extra[static_cast<std::size_t>(best_j)] += app_load(s, i, best_j);
+    for_placed_edges(i, best_j, [&](std::size_t e, MachineId j1, MachineId j2) {
+      if (j1 != j2) route_extra[route_index(j1, j2)] += edge_load(model.network, s, e, j1, j2);
+    });
   };
 
   auto most_intensive = [&](bool frontier_only) -> AppIndex {
@@ -92,16 +84,9 @@ std::vector<MachineId> dag_map_string(const DagSystemModel& model,
     double best_val = -std::numeric_limits<double>::infinity();
     for (AppIndex i = 0; i < n; ++i) {
       if (assigned[static_cast<std::size_t>(i)]) continue;
-      if (frontier_only) {
-        bool adjacent = false;
-        for (const std::size_t e : in[static_cast<std::size_t>(i)]) {
-          if (assigned[static_cast<std::size_t>(s.edges[e].from)]) adjacent = true;
-        }
-        for (const std::size_t e : out[static_cast<std::size_t>(i)]) {
-          if (assigned[static_cast<std::size_t>(s.edges[e].to)]) adjacent = true;
-        }
-        if (!adjacent) continue;
-      }
+      bool adjacent = false;
+      for_placed_edges(i, 0, [&](std::size_t, MachineId, MachineId) { adjacent = true; });
+      if (frontier_only && !adjacent) continue;
       const double v = intensity(s, i);
       if (v > best_val) {
         best_val = v;
@@ -126,25 +111,25 @@ std::vector<MachineId> dag_map_string(const DagSystemModel& model,
 DagAllocatorResult decode_dag_order(const DagSystemModel& model,
                                     const std::vector<StringId>& order) {
   DagAllocatorResult result;
-  result.allocation = DagAllocation(model);
-  DagUtilization util(model);
+  result.allocation = model::Allocation(model);
+  // Running loads of the deployed strings, in deploy order.
+  analysis::Loads loads(model.num_machines());
   for (const StringId k : order) {
-    const auto assignment = dag_map_string(model, util, k);
+    const auto assignment = dag_map_string(model, loads, k);
     for (std::size_t i = 0; i < assignment.size(); ++i) {
       result.allocation.assign(k, static_cast<AppIndex>(i), assignment[i]);
     }
     result.allocation.set_deployed(k, true);
-    util.add_string(result.allocation, k);
     // Full two-stage analysis on the intermediate mapping (batch; the DAG
     // module favors clarity over the incremental session of the chain path).
-    if (!check_feasibility(model, result.allocation).feasible()) {
-      util.remove_string(result.allocation, k);
+    if (!analysis::check_feasibility(model, result.allocation).feasible()) {
       result.allocation.clear_string(k);
       break;
     }
+    loads.add_string(model, result.allocation, k);
     ++result.strings_deployed;
   }
-  result.fitness = evaluate(model, result.allocation);
+  result.fitness = analysis::evaluate(model, result.allocation);
   return result;
 }
 

@@ -12,18 +12,20 @@
 
 #include <vector>
 
-#include "dag/analysis.hpp"
-#include "dag/model.hpp"
+#include "analysis/estimates.hpp"
+#include "analysis/metrics.hpp"
+#include "model/allocation.hpp"
+#include "model/dag.hpp"
 
 namespace tsce::dag {
 
-/// Maps one DAG string against the committed utilization in \p util.
+/// Maps one DAG string against the committed machine and route loads.
 [[nodiscard]] std::vector<MachineId> dag_map_string(const DagSystemModel& model,
-                                                    const DagUtilization& util,
+                                                    const analysis::Loads& loads,
                                                     StringId k);
 
 struct DagAllocatorResult {
-  DagAllocation allocation;
+  model::Allocation allocation;
   analysis::Fitness fitness;
   std::size_t strings_deployed = 0;
 };

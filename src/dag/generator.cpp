@@ -10,24 +10,14 @@ namespace {
 /// Critical path of per-app average times plus per-edge average transfer
 /// times — the DAG analogue of the §8 nominal end-to-end time.
 double average_critical_path(const DagString& s, const model::Network& network) {
-  const auto order = s.topological_order();
-  const auto in = s.edges_in();
   const double inv_w = network.avg_inverse_bandwidth();
-  std::vector<double> finish(s.size(), 0.0);
-  double total = 0.0;
-  for (const AppIndex i : order) {
-    double start = 0.0;
-    for (const std::size_t e : in[static_cast<std::size_t>(i)]) {
-      const double tran =
-          model::kbytes_to_megabits(s.edges[e].output_kbytes) * inv_w;
-      start = std::max(start,
-                       finish[static_cast<std::size_t>(s.edges[e].from)] + tran);
-    }
-    finish[static_cast<std::size_t>(i)] =
-        start + s.apps[static_cast<std::size_t>(i)].avg_time_s();
-    total = std::max(total, finish[static_cast<std::size_t>(i)]);
+  std::vector<double> comp(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) comp[i] = s.apps[i].avg_time_s();
+  std::vector<double> tran(s.edges.size());
+  for (std::size_t e = 0; e < s.edges.size(); ++e) {
+    tran[e] = model::kbytes_to_megabits(s.edges[e].output_kbytes) * inv_w;
   }
-  return total;
+  return s.critical_path(comp, tran).length;
 }
 
 double longest_average_stage(const DagString& s, const model::Network& network) {

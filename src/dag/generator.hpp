@@ -9,7 +9,7 @@
 
 #pragma once
 
-#include "dag/model.hpp"
+#include "model/dag.hpp"
 #include "util/rng.hpp"
 
 namespace tsce::dag {

@@ -3,19 +3,26 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "model/dag.hpp"
+
 namespace tsce::model {
 
-Allocation::Allocation(const SystemModel& model) {
-  offset_.resize(model.num_strings() + 1);
+template <class Strings>
+void Allocation::shape(const Strings& strings) {
+  offset_.resize(strings.size() + 1);
   std::uint32_t total = 0;
-  for (std::size_t k = 0; k < model.num_strings(); ++k) {
+  for (std::size_t k = 0; k < strings.size(); ++k) {
     offset_[k] = total;
-    total += static_cast<std::uint32_t>(model.strings[k].size());
+    total += static_cast<std::uint32_t>(strings[k].size());
   }
-  offset_[model.num_strings()] = total;
+  offset_[strings.size()] = total;
   flat_.assign(total, kUnassigned);
-  deployed_.assign(model.num_strings(), 0);
+  deployed_.assign(strings.size(), 0);
 }
+
+Allocation::Allocation(const SystemModel& model) { shape(model.strings); }
+
+Allocation::Allocation(const dag::DagSystemModel& model) { shape(model.strings); }
 
 void Allocation::clear_string(StringId k) noexcept {
   const auto ku = static_cast<std::size_t>(k);

@@ -19,6 +19,10 @@
 #include "model/system_model.hpp"
 #include "model/types.hpp"
 
+namespace tsce::dag {
+struct DagSystemModel;
+}  // namespace tsce::dag
+
 namespace tsce::model {
 
 class Allocation {
@@ -27,6 +31,9 @@ class Allocation {
 
   /// Empty (nothing assigned) allocation shaped like \p model.
   explicit Allocation(const SystemModel& model);
+  /// The same for a system of DAG strings: one row per string, one entry per
+  /// application.
+  explicit Allocation(const dag::DagSystemModel& model);
 
   /// Machine of application i of string k, or kUnassigned.
   [[nodiscard]] MachineId machine_of(StringId k, AppIndex i) const noexcept {
@@ -68,6 +75,9 @@ class Allocation {
   friend bool operator==(const Allocation&, const Allocation&) = default;
 
  private:
+  template <class Strings>
+  void shape(const Strings& strings);
+
   std::vector<std::uint32_t> offset_;  ///< per-string start into flat_, size Q+1
   std::vector<MachineId> flat_;        ///< all assignments, strings back to back
   std::vector<std::uint8_t> deployed_;

@@ -24,7 +24,7 @@ TEST(Metrics, TotalWorthCountsOnlyDeployed) {
 
 TEST(Metrics, SlacknessOfEmptyAllocationIsOne) {
   const SystemModel m = testing::two_machine_system();
-  EXPECT_DOUBLE_EQ(system_slackness(m, Allocation(m)), 1.0);
+  EXPECT_DOUBLE_EQ(evaluate(m, Allocation(m)).slackness, 1.0);
 }
 
 TEST(Metrics, SlacknessReflectsBottleneckResource) {
@@ -33,7 +33,7 @@ TEST(Metrics, SlacknessReflectsBottleneckResource) {
   for (int i = 0; i < 2; ++i) a.assign(0, i, 0);
   a.set_deployed(0, true);
   // Machine 0 at 0.5 utilization.
-  EXPECT_NEAR(system_slackness(m, a), 0.5, 1e-12);
+  EXPECT_NEAR(evaluate(m, a).slackness, 0.5, 1e-12);
 }
 
 TEST(Metrics, EvaluateCombinesBoth) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/feasibility.hpp"
 #include "dag/generator.hpp"
 #include "util/rng.hpp"
 
@@ -19,9 +20,9 @@ DagSystemModel random_system(std::uint64_t seed, std::size_t machines = 4,
 
 TEST(DagMapper, AssignsEveryApplication) {
   const DagSystemModel m = random_system(1);
-  const DagUtilization util(m);
+  const analysis::Loads loads(m.num_machines());
   for (std::size_t k = 0; k < m.num_strings(); ++k) {
-    const auto assignment = dag_map_string(m, util, static_cast<StringId>(k));
+    const auto assignment = dag_map_string(m, loads, static_cast<StringId>(k));
     ASSERT_EQ(assignment.size(), m.strings[k].size());
     for (const auto j : assignment) {
       EXPECT_GE(j, 0);
@@ -32,10 +33,10 @@ TEST(DagMapper, AssignsEveryApplication) {
 
 TEST(DagMapper, Deterministic) {
   const DagSystemModel m = random_system(2);
-  const DagUtilization util(m);
+  const analysis::Loads loads(m.num_machines());
   for (std::size_t k = 0; k < m.num_strings(); ++k) {
-    EXPECT_EQ(dag_map_string(m, util, static_cast<StringId>(k)),
-              dag_map_string(m, util, static_cast<StringId>(k)));
+    EXPECT_EQ(dag_map_string(m, loads, static_cast<StringId>(k)),
+              dag_map_string(m, loads, static_cast<StringId>(k)));
   }
 }
 
@@ -54,8 +55,8 @@ TEST(DagMapper, SlowNetworkEncouragesColocation) {
   s.period_s = 20.0;
   s.max_latency_s = 1000.0;
   m.strings.push_back(s);
-  const DagUtilization util(m);
-  const auto assignment = dag_map_string(m, util, 0);
+  const analysis::Loads loads(m.num_machines());
+  const auto assignment = dag_map_string(m, loads, 0);
   EXPECT_EQ(assignment[0], assignment[1]);
   EXPECT_EQ(assignment[0], assignment[2]);
 }
@@ -64,9 +65,9 @@ TEST(DagAllocator, MostWorthFirstIsFeasible) {
   for (std::uint64_t seed : {3u, 4u, 5u}) {
     const DagSystemModel m = random_system(seed);
     const auto result = allocate_most_worth_first(m);
-    EXPECT_TRUE(check_feasibility(m, result.allocation).feasible()) << seed;
+    EXPECT_TRUE(analysis::check_feasibility(m, result.allocation).feasible()) << seed;
     EXPECT_EQ(result.fitness.total_worth,
-              evaluate(m, result.allocation).total_worth);
+              analysis::evaluate(m, result.allocation).total_worth);
     EXPECT_GT(result.strings_deployed, 0u);
   }
 }

@@ -1,7 +1,8 @@
-#include "dag/model.hpp"
+#include "model/dag.hpp"
 
 #include <gtest/gtest.h>
 
+#include "model/allocation.hpp"
 #include "testing/builders.hpp"
 
 namespace tsce::dag {
@@ -101,7 +102,7 @@ TEST(DagConversion, LiftPreservesCounts) {
   EXPECT_TRUE(lifted.validate().empty());
 }
 
-TEST(DagAllocation, BasicOperations) {
+TEST(DagSystemModel, AllocationHasOneRowPerString) {
   DagSystemModel m;
   m.network = model::Network(2, 5.0);
   m.strings.push_back(diamond());
@@ -111,7 +112,9 @@ TEST(DagAllocation, BasicOperations) {
     a.nominal_time_s.assign(2, 1.0);
     a.nominal_util.assign(2, 0.5);
   }
-  DagAllocation alloc(m);
+  model::Allocation alloc(m);
+  ASSERT_EQ(alloc.num_strings(), 1u);
+  EXPECT_EQ(alloc.string_size(0), 4u);
   EXPECT_EQ(alloc.num_deployed(), 0u);
   alloc.assign(0, 0, 1);
   EXPECT_EQ(alloc.machine_of(0, 0), 1);
