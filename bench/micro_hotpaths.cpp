@@ -1,11 +1,13 @@
 /// \file micro_hotpaths.cpp
-/// google-benchmark microbenchmarks of the library's hot paths: utilization
-/// bookkeeping, IMR mapping, full permutation decode (the PSG inner loop),
+/// google-benchmark microbenchmarks of the library's hot paths: session
+/// commits and rejections, IMR mapping, full permutation decode (the PSG inner loop),
 /// eq. (5)-(6) estimation, the simplex, and the discrete-event simulator.
 
 #include <benchmark/benchmark.h>
 
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "analysis/estimates.hpp"
 #include "dag/allocator.hpp"
@@ -38,32 +40,6 @@ model::SystemModel make_instance(std::size_t machines, std::size_t strings,
   config.num_strings = strings;
   return workload::generate(config, rng);
 }
-
-void BM_UtilizationAddRemove(benchmark::State& state) {
-  const auto m = make_instance(8, static_cast<std::size_t>(state.range(0)));
-  model::Allocation alloc(m);
-  util::Rng rng(1);
-  for (std::size_t k = 0; k < m.num_strings(); ++k) {
-    for (std::size_t i = 0; i < m.strings[k].size(); ++i) {
-      alloc.assign(static_cast<model::StringId>(k), static_cast<model::AppIndex>(i),
-                   static_cast<model::MachineId>(rng.bounded(8)));
-    }
-    alloc.set_deployed(static_cast<model::StringId>(k), true);
-  }
-  analysis::UtilizationState util(m);
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < m.num_strings(); ++k) {
-      util.add_string(alloc, static_cast<model::StringId>(k));
-    }
-    for (std::size_t k = 0; k < m.num_strings(); ++k) {
-      util.remove_string(alloc, static_cast<model::StringId>(k));
-    }
-    benchmark::DoNotOptimize(util.slackness());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          static_cast<std::int64_t>(m.num_strings()));
-}
-BENCHMARK(BM_UtilizationAddRemove)->Arg(16)->Arg(64);
 
 void BM_ImrMapString(benchmark::State& state) {
   const auto m = make_instance(static_cast<std::size_t>(state.range(0)), 20);
@@ -466,6 +442,39 @@ void BM_SessionCommitRestore(benchmark::State& state) {
       static_cast<double>(accepted) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SessionCommitRestore);
+
+/// Time per rejected try_commit on a loaded session: the strings a pass in
+/// id order could not deploy, IMR-mapped against the loaded
+/// state and retried round robin.  A rejection writes nothing the next
+/// attempt sees, so every iteration repeats the same analysis.
+void BM_SessionCommitReject(benchmark::State& state) {
+  const auto m = make_instance(6, 40);
+  analysis::AllocationSession session(m);
+  for (model::StringId k = 0; k < static_cast<model::StringId>(m.num_strings()); ++k) {
+    (void)session.try_commit(k, core::imr_map_string(m, session.util(), k));
+  }
+  std::vector<std::pair<model::StringId, std::vector<model::MachineId>>> rejected;
+  for (model::StringId k = 0; k < static_cast<model::StringId>(m.num_strings()); ++k) {
+    if (session.allocation().deployed(k)) continue;
+    auto assignment = core::imr_map_string(m, session.util(), k);
+    if (!session.try_commit(k, assignment)) rejected.emplace_back(k, std::move(assignment));
+  }
+  if (rejected.empty()) {
+    state.SkipWithError("no rejected string");
+    return;
+  }
+  std::size_t next = 0;
+  std::int64_t rejects = 0;
+  for (auto _ : state) {
+    const auto& [k, assignment] = rejected[next];
+    rejects += session.try_commit(k, assignment) ? 0 : 1;
+    next = next + 1 == rejected.size() ? 0 : next + 1;
+  }
+  state.counters["candidates"] = static_cast<double>(rejected.size());
+  state.counters["reject_frac"] =
+      static_cast<double>(rejects) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SessionCommitReject);
 
 }  // namespace
 

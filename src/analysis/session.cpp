@@ -39,6 +39,9 @@ struct SessionMetrics {
   }
 };
 
+/// The value of every slot of an undeployed string (t_of_, comp_, tran_).
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 /// FrKind::kCommitReject violation-class payload.
 enum : std::uint64_t {
   kFrViolationUtilization = 1,
@@ -53,15 +56,13 @@ AllocationSession::AllocationSession(const SystemModel& model, PriorityRule rule
       rule_(rule),
       alloc_(model),
       util_(model),
-      t_of_(model.num_strings(), std::numeric_limits<double>::quiet_NaN()) {
+      t_of_(model.num_strings(), kNaN) {
   const std::size_t q = model.num_strings();
   const CoefficientTables& c = util_.coefficients();
   const std::uint32_t apps = c.app_off[q];
   const std::uint32_t trans = c.tran_off[q];
-  comp_.assign(apps, std::numeric_limits<double>::quiet_NaN());
-  tran_.assign(trans, std::numeric_limits<double>::quiet_NaN());
-  touched_machines_.reserve(model.num_machines());
-  touched_routes_.reserve(model.num_machines() * model.num_machines());
+  comp_.assign(apps, kNaN);
+  tran_.assign(trans, kNaN);
   affected_strings_.reserve(q);
   affected_stamp_.assign(q, 0);
   comp_journal_.reserve(apps);
@@ -106,25 +107,6 @@ inline void AllocationSession::note_affected(StringId z) {
   affected_strings_.push_back(z);  // reserved to Q: never reallocates
 }
 
-void AllocationSession::note_touched(StringId k) {
-  const auto n = static_cast<AppIndex>(model_->strings[static_cast<std::size_t>(k)].size());
-  for (AppIndex i = 0; i < n; ++i) {
-    const MachineId j = alloc_.machine_of(k, i);
-    if (std::find(touched_machines_.begin(), touched_machines_.end(), j) ==
-        touched_machines_.end()) {
-      touched_machines_.push_back(j);
-    }
-    if (i + 1 < n) {
-      const MachineId j2 = alloc_.machine_of(k, i + 1);
-      const auto route = std::make_pair(j, j2);
-      if (j != j2 && std::find(touched_routes_.begin(), touched_routes_.end(),
-                               route) == touched_routes_.end()) {
-        touched_routes_.push_back(route);
-      }
-    }
-  }
-}
-
 TSCE_HOT bool AllocationSession::try_commit(StringId k,
                                             const std::vector<MachineId>& assignment) {
   const std::uint64_t t0 = obs::clock_ticks();
@@ -132,8 +114,10 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
   assert(!alloc_.deployed(k));
   assert(assignment.size() == model_->strings[ku].size());
 
-  // Record the tentative assignment.  Stale journal entries from a previous
-  // commit would poison a stage-one rollback, so clear them up front.
+  // Record the tentative assignment.  The utilization state is written only
+  // once both stages pass, so a rejection leaves it untouched.  Stale journal
+  // entries from a previous commit would poison a stage-one rollback, so
+  // clear them up front.
   comp_journal_.clear();
   tran_journal_.clear();
   for (std::size_t i = 0; i < assignment.size(); ++i) {
@@ -141,28 +125,16 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
     alloc_.assign(k, static_cast<AppIndex>(i), assignment[i]);
   }
   alloc_.set_deployed(k, true);
-  util_.add_string(alloc_, k);
 
-  // Resources touched by this string.
-  touched_machines_.clear();
-  touched_routes_.clear();
-  note_touched(k);
-
-  // Stage one on touched resources only (others are unchanged).
-  bool ok = true;
-  for (const MachineId j : touched_machines_) {
-    if (!within(util_.machine_util(j), 1.0)) ok = false;
-  }
-  for (const auto& [j1, j2] : touched_routes_) {
-    if (!within(util_.route_util(j1, j2), 1.0)) ok = false;
-  }
-
+  // Stage one on what-if sums of the resources k touches (others are
+  // unchanged).
+  bool ok = fits_if_added(util_, k, assignment);
   std::uint64_t fr_violation = kFrViolationUtilization;
   if (!ok) {
     SessionMetrics::get().reject_utilization.add(1);
   } else {
     t_of_[ku] = priority_value(*model_, alloc_, k, rule_);
-    const ConstraintViolation violation = stage_two_after_add(k);
+    const ConstraintViolation violation = stage_two_if_added(k);
     ok = violation == ConstraintViolation::kNone;
     if (violation == ConstraintViolation::kThroughput) {
       SessionMetrics::get().reject_throughput.add(1);
@@ -174,14 +146,17 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
   }
 
   if (!ok) {
-    // Roll back: remove the string and restore the estimate slots stage two
-    // delta-updated from the journals.  Walking backwards makes repeated
-    // touches of one slot land on its oldest (pre-commit) value, so the
-    // restore is bit-exact; k's own slots are left stale (unreadable until
-    // its next deploy refreshes them).
-    util_.remove_string(alloc_, k);
+    // Roll back: clear the assignment, the priority slot and k's estimate
+    // slots (an undeployed string's slots are NaN), and restore the
+    // residents' slots stage two delta-updated from the journals.  Walking
+    // backwards makes repeated touches of one slot land on its oldest
+    // (pre-commit) value, so the session is bit-identical to its pre-commit
+    // state.
     alloc_.clear_string(k);
-    t_of_[ku] = std::numeric_limits<double>::quiet_NaN();
+    t_of_[ku] = kNaN;
+    const CoefficientTables& c = util_.coefficients();
+    std::fill(comp_.begin() + c.app_off[ku], comp_.begin() + c.app_off[ku + 1], kNaN);
+    std::fill(tran_.begin() + c.tran_off[ku], tran_.begin() + c.tran_off[ku + 1], kNaN);
     for (auto it = comp_journal_.rbegin(); it != comp_journal_.rend(); ++it) {
       comp_[it->first] = it->second;
     }
@@ -194,6 +169,7 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
                    fr_violation);
     return false;
   }
+  util_.add_string(alloc_, k);
   SessionMetrics::get().commit_latency_ns.record(
       obs::ticks_to_ns(obs::clock_ticks() - t0));
   return true;
@@ -205,13 +181,14 @@ TSCE_HOT double AllocationSession::scan_comp(StringId k, std::size_t app,
   // machine delays k by its CPU work t[p,j]*u[p,j], scaled by how many of its
   // periods overlap one of k's (P[k]/P[z]); see Figure 2 cases 1-3.
   //
-  // k has just been appended to the slab, and a resident z that k preempts
-  // gains k's term.  A full re-sum of z walks the slab in order and k's
-  // entries sit at its tail, so re-sum = (cached value) + (k's terms, in
-  // k-app order) by left-to-right float associativity: adding the term to
-  // the cached slot is bit-exact.  Old slot values are journaled first so a
-  // stage-two rejection can restore them exactly.  A resident that preempts
-  // k never waits on k, so its slot is untouched.
+  // The slab holds the residents only: k is appended to its tail once the
+  // commit passes.  A resident z that k preempts gains k's term.  A full
+  // re-sum of z walks the slab in order and k's entries will sit at its
+  // tail, so re-sum = (cached value) + (k's terms, in k-app order) by
+  // left-to-right float associativity: adding the term to the cached slot is
+  // bit-exact.  Old slot values are journaled first so a stage-two rejection
+  // can restore them exactly.  A resident that preempts k never waits on k,
+  // so its slot is untouched.
   const CoefficientTables& c = util_.coefficients();
   const auto ku = static_cast<std::size_t>(k);
   const double t_k = t_of_[ku];
@@ -220,7 +197,6 @@ TSCE_HOT double AllocationSession::scan_comp(StringId k, std::size_t app,
   const double work_k = c.work[kj];
   double t = c.time[kj];
   for (const AppRef& ref : util_.apps_on(j)) {
-    if (ref.k == k) continue;  // same-string apps share one tightness value
     const auto zu = static_cast<std::size_t>(ref.k);
     const double t_z = t_of_[zu];
     if (higher_priority(t_k, k, t_z, ref.k)) {
@@ -247,7 +223,6 @@ TSCE_HOT double AllocationSession::scan_tran(StringId k, std::size_t app,
   const double mbits_k = c.mbits[app];
   double t = mbits_k / w;
   for (const AppRef& ref : util_.transfers_on(j1, j2)) {
-    if (ref.k == k) continue;
     const auto zu = static_cast<std::size_t>(ref.k);
     const double t_z = t_of_[zu];
     if (higher_priority(t_k, k, t_z, ref.k)) {
@@ -262,7 +237,7 @@ TSCE_HOT double AllocationSession::scan_tran(StringId k, std::size_t app,
   return t;
 }
 
-TSCE_HOT ConstraintViolation AllocationSession::stage_two_after_add(StringId k) {
+TSCE_HOT ConstraintViolation AllocationSession::stage_two_if_added(StringId k) {
   // Only two kinds of strings see their estimates change when k commits:
   // k itself, and the residents of k's resources that k preempts.  A string
   // with unchanged estimates cannot newly violate eq. (1) (it passed when it

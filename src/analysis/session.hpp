@@ -5,30 +5,32 @@
 /// and must re-run the two-stage feasibility analysis after every string.
 /// Re-checking the whole system from scratch is O(Q * A^2); AllocationSession
 /// exploits the fact that committing one string only perturbs the resources
-/// it touches — stage one is re-checked on touched resources only and stage
-/// two re-estimates only resident applications of touched machines/routes
-/// (higher-priority estimates are unchanged by construction of eqs. 5-6).
-/// A failed commit rolls back completely, leaving the previous feasible
-/// intermediate mapping intact (the MWF/TF termination rule).
+/// it touches — stage one is checked on what-if sums of the touched resources
+/// only (fits_if_added) and stage two re-estimates only resident applications
+/// of touched machines/routes (higher-priority estimates are unchanged by
+/// construction of eqs. 5-6).  The candidate enters the utilization state
+/// only after both stages pass, so a failed commit undoes just its assignment,
+/// its priority and estimate slots and the resident estimates stage two
+/// journaled, leaving the previous feasible intermediate mapping intact (the
+/// MWF/TF termination rule) byte for byte.
 ///
 /// Stage two makes one pass over each resident list the new string k
 /// touches (DESIGN.md §12): a resident that k preempts gets k's eq. (5)-(6)
 /// term added to its cached slot, and every other resident adds its term to
 /// k's own running estimate, in slab order — the same sums, in the same
-/// order, as a from-scratch estimate.  Affected strings are deduplicated by
-/// a per-string epoch stamp, keeping first-noted order, and every coefficient
-/// comes from the utilization state's flat CoefficientTables rather than the
-/// model's per-app vectors.
+/// order, as a from-scratch estimate of the state with k appended.  Affected
+/// strings are deduplicated by a per-string epoch stamp, keeping first-noted
+/// order, and every coefficient comes from the utilization state's flat
+/// CoefficientTables rather than the model's per-app vectors.
 ///
 /// Estimate storage is SoA (DESIGN.md §12): one flat double array for all
 /// eq. (5) computation estimates and one for all eq. (6) transfer estimates,
 /// indexed by prefix sums over string lengths — no per-string vectors, so the
 /// steady-state commit/rollback path never allocates.  The whole session
 /// state snapshots into a SessionSnapshot and restores back with a handful of
-/// memcpys, bit-exactly.  That is the session's only rewind beyond a failed
-/// commit's rollback: the prefix-reuse decode and the exact search return to
-/// a checkpoint this way, and replica-based engines clone sessions the same
-/// way.
+/// memcpys, bit-exactly.  That is the session's only rewind: the prefix-reuse
+/// decode and the exact search return to a checkpoint this way, and
+/// replica-based engines clone sessions the same way.
 
 #pragma once
 
@@ -75,7 +77,7 @@ class AllocationSession {
   /// (size n_k, no kUnassigned entries).  Runs the two-stage feasibility
   /// analysis on the resulting intermediate mapping; on success the string is
   /// committed and true is returned, otherwise the session state is unchanged
-  /// and false is returned.
+  /// (its snapshot bytes included) and false is returned.
   bool try_commit(model::StringId k, const std::vector<model::MachineId>& assignment);
 
   /// Copies the full session state into \p out (buffers reused — no
@@ -99,8 +101,8 @@ class AllocationSession {
   /// Classifies string \p z against eq. (1) under the current estimates.
   [[nodiscard]] ConstraintViolation constraint_violation(model::StringId z) const noexcept;
 
-  /// Estimated computation times of deployed string k (stale values for
-  /// undeployed strings — callers must check deployed() first, as ever).
+  /// Estimated computation times of deployed string k (NaN for undeployed
+  /// strings — callers must check deployed() first, as ever).
   [[nodiscard]] std::span<const double> comp_estimates(model::StringId k) const noexcept {
     const auto& off = util_.coefficients().app_off;
     const auto ku = static_cast<std::size_t>(k);
@@ -113,20 +115,17 @@ class AllocationSession {
   }
 
  private:
-  /// Estimates string k and delta-updates the residents k preempts
-  /// (journaling old slot values) in one pass per resource, then checks
-  /// eq. (1) for each affected string; returns the first violation found
-  /// (kNone when all pass).
-  [[nodiscard]] ConstraintViolation stage_two_after_add(model::StringId k);
+  /// Estimates string k against the residents and delta-updates the ones k
+  /// preempts (journaling their old slot values) in one pass per resource,
+  /// then checks eq. (1) for each affected string; returns the first
+  /// violation found (kNone when all pass).
+  [[nodiscard]] ConstraintViolation stage_two_if_added(model::StringId k);
   /// The eq. (5) / eq. (6) kernels: string k's estimate for app row \p app
   /// on machine \p j (route j1->j2), one scan of the resident list;
   /// residents that k preempts get k's term instead.
   double scan_comp(model::StringId k, std::size_t app, model::MachineId j);
   double scan_tran(model::StringId k, std::size_t app, model::MachineId j1,
                    model::MachineId j2);
-  /// Appends the machines and routes deployed string k occupies to the
-  /// touched lists, skipping ones already there.
-  void note_touched(model::StringId k);
   /// Starts a new affected set (bumps the stamp epoch).
   void clear_affected();
   /// Appends z to the affected set unless it is already there.
@@ -137,11 +136,10 @@ class AllocationSession {
   model::Allocation alloc_;
   UtilizationState util_;
   std::vector<double> t_of_;  ///< tightness per deployed string (NaN otherwise)
-  std::vector<double> comp_;  ///< flat eq. (5) estimates, app_off-indexed
-  std::vector<double> tran_;  ///< flat eq. (6) estimates, tran_off-indexed
-  // Scratch reused across commits to avoid churn.
-  std::vector<model::MachineId> touched_machines_;
-  std::vector<std::pair<model::MachineId, model::MachineId>> touched_routes_;
+  /// Flat eq. (5) / eq. (6) estimates, app_off- / tran_off-indexed; an
+  /// undeployed string's slots are NaN.
+  std::vector<double> comp_;
+  std::vector<double> tran_;
   /// Strings whose estimates a commit changed, in first-noted order; a
   /// string is in the set iff its stamp equals the current epoch.
   std::vector<model::StringId> affected_strings_;

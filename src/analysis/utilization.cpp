@@ -4,6 +4,7 @@
 #include <cassert>
 #include <memory>
 
+#include "analysis/feasibility.hpp"
 #include "util/hot.hpp"
 
 namespace tsce::analysis {
@@ -85,8 +86,6 @@ UtilizationState::UtilizationState(const SystemModel& model)
   machine_util_ = arena_.alloc<double>(m);
   route_util_ = arena_.alloc<double>(m * m);
   slabs_ = arena_.alloc<Slab>(m + m * m);
-  touched_machines_.reserve(m);
-  touched_routes_.reserve(m * m);
 }
 
 UtilizationState UtilizationState::from_allocation(const SystemModel& model,
@@ -141,17 +140,6 @@ TSCE_HOT void UtilizationState::slab_push(std::size_t resource, AppRef ref) {
   arena_.view(slabs_)[resource] = s;
 }
 
-TSCE_HOT void UtilizationState::slab_erase(std::size_t resource, AppRef ref) {
-  Slab s = arena_.view(slabs_)[resource];
-  const std::span<AppRef> residents =
-      arena_.view(util::ArenaSpan<AppRef>{s.begin, s.size});
-  const auto it = std::find(residents.begin(), residents.end(), ref);
-  assert(it != residents.end());
-  std::move(it + 1, residents.end(), it);  // preserve order, like vector::erase
-  --s.size;
-  arena_.view(slabs_)[resource] = s;
-}
-
 TSCE_HOT void UtilizationState::add_string(const Allocation& alloc, StringId k) {
   const auto& s = model_->strings[static_cast<std::size_t>(k)];
   const auto n = static_cast<AppIndex>(s.size());
@@ -172,75 +160,47 @@ TSCE_HOT void UtilizationState::add_string(const Allocation& alloc, StringId k) 
   }
 }
 
-TSCE_HOT void UtilizationState::remove_string(const Allocation& alloc, StringId k) {
-  // Removal erases the string's entries from the resident lists and then
-  // recomputes every touched utilization as a fresh left-to-right sum over
-  // the survivors.  Subtracting the deltas instead would leave floating-point
-  // residues ((u + d) - d != u in general), breaking the exact-rollback
-  // invariant that try_commit relies on: a rejected commit must restore
-  // bit-identical state.  Fresh summation makes each utilization a pure
-  // function of its resident list, and add_string's running sum equals the
-  // same left fold, so the two paths can never drift apart.
-  touched_machines_.clear();
-  touched_routes_.clear();
-  const auto& s = model_->strings[static_cast<std::size_t>(k)];
-  const auto n = static_cast<AppIndex>(s.size());
-  for (AppIndex i = 0; i < n; ++i) {
-    const MachineId j = alloc.machine_of(k, i);
-    assert(j != model::kUnassigned);
-    slab_erase(static_cast<std::size_t>(j), {k, i});
-    if (std::find(touched_machines_.begin(), touched_machines_.end(), j) ==
-        touched_machines_.end()) {
-      touched_machines_.push_back(j);
+TSCE_HOT bool fits_if_added(const UtilizationState& util, StringId k,
+                            std::span<const MachineId> assignment) noexcept {
+  // Each resource k touches is checked once, at k's first app (transfer) on
+  // it: the current sum plus every one of k's terms on it, added in app order
+  // exactly as add_string's += sequence would.  Strings are short, so the
+  // quadratic scans need no scratch.
+  const std::size_t n = assignment.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const MachineId j = assignment[i];
+    if (std::find(assignment.begin(), assignment.begin() + i, j) !=
+        assignment.begin() + i) {
+      continue;
     }
-    if (i + 1 < n) {
-      const MachineId j2 = alloc.machine_of(k, i + 1);
-      if (j != j2) {
-        const std::size_t r = route_index(j, j2);
-        slab_erase(num_machines() + r, {k, i});
-        if (std::find(touched_routes_.begin(), touched_routes_.end(), r) ==
-            touched_routes_.end()) {
-          touched_routes_.push_back(r);
-        }
-      }
+    double u = util.machine_util(j);
+    for (std::size_t x = i; x < n; ++x) {
+      if (assignment[x] == j) u += util.machine_delta(k, static_cast<AppIndex>(x), j);
     }
+    if (!within(u, 1.0)) return false;
   }
-  resum_touched();
-}
-
-TSCE_HOT void UtilizationState::resum_touched() {
-  // Fresh left-to-right sums over the flat resident slabs; with the pool in
-  // one contiguous block these scans are cache-linear per resource.
-  const std::span<double> machine_util = arena_.view(machine_util_);
-  for (const MachineId j : touched_machines_) {
-    double u = 0.0;
-    for (const AppRef& ref : slab_span(static_cast<std::size_t>(j))) {
-      u += machine_delta(ref.k, ref.i, j);
+  const auto sends = [&](std::size_t x, MachineId j1, MachineId j2) {
+    return assignment[x] == j1 && assignment[x + 1] == j2;
+  };
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const MachineId j1 = assignment[i];
+    const MachineId j2 = assignment[i + 1];
+    if (j1 == j2) continue;
+    bool first = true;
+    for (std::size_t p = 0; p < i; ++p) first = first && !sends(p, j1, j2);
+    if (!first) continue;
+    double u = util.route_util(j1, j2);
+    for (std::size_t x = i; x + 1 < n; ++x) {
+      if (sends(x, j1, j2)) u += util.route_delta(k, static_cast<AppIndex>(x), j1, j2);
     }
-    machine_util[static_cast<std::size_t>(j)] = u;
+    if (!within(u, 1.0)) return false;
   }
-  const auto m = static_cast<MachineId>(num_machines());
-  const std::span<double> route_util = arena_.view(route_util_);
-  for (const std::size_t r : touched_routes_) {
-    const auto j1 = static_cast<MachineId>(r / static_cast<std::size_t>(m));
-    const auto j2 = static_cast<MachineId>(r % static_cast<std::size_t>(m));
-    double u = 0.0;
-    for (const AppRef& ref : slab_span(num_machines() + r)) {
-      u += route_delta(ref.k, ref.i, j1, j2);
-    }
-    route_util[r] = u;
-  }
+  return true;
 }
 
 double UtilizationState::max_machine_util() const noexcept {
   double best = 0.0;
   for (double u : arena_.view(machine_util_)) best = std::max(best, u);
-  return best;
-}
-
-double UtilizationState::max_route_util() const noexcept {
-  double best = 0.0;
-  for (double u : arena_.view(route_util_)) best = std::max(best, u);
   return best;
 }
 

@@ -2,18 +2,19 @@
 /// Machine and communication-route utilization accounting, eqs. (2)-(3).
 ///
 /// UtilizationState supports both batch computation from a complete
-/// allocation and incremental add/remove of single strings, which the
+/// allocation and incremental addition of single strings, which the
 /// sequential heuristics (IMR inside MWF/TF/PSG decode) rely on.  It also
 /// tracks which applications/transfers reside on each resource, which the
-/// stage-two time estimation reuses.
+/// stage-two time estimation reuses.  A state only grows: a candidate string
+/// is checked against it with fits_if_added() and added once accepted, and a
+/// session goes back to an earlier state by snapshot restore.
 ///
 /// Memory layout (DESIGN.md §12): the whole state is one contiguous
 /// util::Arena block — flat utilization arrays, a slab table of per-resource
 /// (offset, size, capacity) triples, and a CSR-style pool of resident AppRef
 /// slabs that grow in place amortized.  Because every internal reference is
 /// an arena offset, snapshot()/restore() are single memcpys of the used
-/// prefix and are bit-exact; remove_string re-sums the resources it touches,
-/// so a failed commit rolls back bit-exactly without a snapshot.
+/// prefix and are bit-exact.
 ///
 /// Every per-app and per-string factor the hot loops multiply by (t*u, the
 /// utilization deltas, output megabits, periods, IMR intensities) is read
@@ -102,12 +103,6 @@ class UtilizationState {
   /// Adds every application/transfer of string k using its assignment in
   /// \p alloc (string must be fully mapped).
   void add_string(const model::Allocation& alloc, model::StringId k);
-  /// Exact inverse of add_string: after the call, every utilization is
-  /// bit-identical to a state that never added string k (touched resources
-  /// are re-summed over their resident lists rather than decremented, so no
-  /// floating-point residue survives).  This exactness is the rollback
-  /// invariant a failed AllocationSession::try_commit depends on.
-  void remove_string(const model::Allocation& alloc, model::StringId k);
 
   /// U_machine[j], eq. (2).
   [[nodiscard]] double machine_util(model::MachineId j) const noexcept {
@@ -126,22 +121,8 @@ class UtilizationState {
   [[nodiscard]] double route_delta(model::StringId k, model::AppIndex i,
                                    model::MachineId j1, model::MachineId j2) const noexcept;
 
-  /// What-if U_machine[j, i, k] from the IMR description (paper §5).
-  [[nodiscard]] double machine_util_if(model::MachineId j, model::StringId k,
-                                       model::AppIndex i) const noexcept {
-    return machine_util(j) + machine_delta(k, i, j);
-  }
-  /// What-if U_route[j1, j2, i, k]: utilization of route j1->j2 if the output
-  /// of app i of string k were added to it.
-  [[nodiscard]] double route_util_if(model::MachineId j1, model::MachineId j2,
-                                     model::StringId k, model::AppIndex i) const noexcept {
-    return route_util(j1, j2) + route_delta(k, i, j1, j2);
-  }
-
   /// Max utilization over all machines (0 when empty system).
   [[nodiscard]] double max_machine_util() const noexcept;
-  /// Max utilization over all routes.
-  [[nodiscard]] double max_route_util() const noexcept;
 
   /// System slackness, eq. (7): min residual capacity over machines & routes.
   [[nodiscard]] double slackness() const noexcept;
@@ -189,12 +170,6 @@ class UtilizationState {
   /// Appends \p ref to a resident slab, growing it amortized (in place when
   /// the slab sits at the arena tip).
   void slab_push(std::size_t resource, AppRef ref);
-  /// Removes the first occurrence of \p ref, shifting survivors left (same
-  /// order semantics as the original vector erase).
-  void slab_erase(std::size_t resource, AppRef ref);
-
-  /// Recomputes every touched utilization as a fresh sum over its residents.
-  void resum_touched();
 
   [[nodiscard]] std::size_t route_index(model::MachineId j1, model::MachineId j2) const noexcept {
     return static_cast<std::size_t>(j1) * num_machines() + static_cast<std::size_t>(j2);
@@ -208,9 +183,15 @@ class UtilizationState {
   util::ArenaSpan<double> machine_util_;
   util::ArenaSpan<double> route_util_;  // M x M row-major; diagonal stays 0
   util::ArenaSpan<Slab> slabs_;         // M machine slabs, then M*M route slabs
-  // Scratch for remove_string (resources whose sums need recomputation).
-  std::vector<model::MachineId> touched_machines_;
-  std::vector<std::size_t> touched_routes_;
 };
+
+/// Stage one (eqs. (2)-(3)) for a candidate: true when adding string k with
+/// the per-app machine \p assignment would leave every machine and route it
+/// touches within capacity.  Each touched resource's what-if sum is its
+/// current utilization plus k's terms on it, folded in add_string's app
+/// order, so it is bit-identical to the value add_string would store; \p util
+/// itself is not written.
+[[nodiscard]] bool fits_if_added(const UtilizationState& util, model::StringId k,
+                                 std::span<const model::MachineId> assignment) noexcept;
 
 }  // namespace tsce::analysis

@@ -96,8 +96,8 @@ TSCE_HOT void DecodeContext::rewind_to(std::size_t prefix_len) {
   assert(prefix_len <= committed_.size());
   if (prefix_len >= committed_.size()) return;
   // Checkpoint restore: O(state bytes) regardless of how long the dropped
-  // suffix is.  Bit-identical to batched exact-rollback removal of the
-  // suffix (the session property test pins this equivalence down).
+  // suffix is.  Bit-identical to a fresh session that commits only the kept
+  // prefix (the session property test pins this equivalence down).
   session_.restore_from(checkpoints_[prefix_len]);
   committed_.resize(prefix_len);
 }

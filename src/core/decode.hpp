@@ -11,11 +11,10 @@
 /// the divergent suffix is re-decoded; the longest common prefix is reused
 /// verbatim.  Rewinding is a checkpoint restore (DESIGN.md §12): the context
 /// keeps a per-depth SessionSnapshot stack, so dropping a suffix is a few
-/// memcpys of flat state instead of replaying removals.  Observable state
-/// after a restore is bit-identical to an exact-rollback rewind and to a
-/// from-scratch decode of the shared prefix (the session's flat layout makes
-/// the snapshot a byte image), so incremental results equal full re-decodes
-/// exactly.
+/// memcpys of flat state.  Observable state after a restore is bit-identical
+/// to a from-scratch decode of the shared prefix (the session's flat layout
+/// makes the snapshot a byte image), so incremental results equal full
+/// re-decodes exactly.
 ///
 /// Searches that need only the fitness go one step further: a decode stops at
 /// the first string that fails, so its result depends only on the *decisive

@@ -79,14 +79,11 @@ std::vector<MachineId> dag_map_string(const DagSystemModel& model,
     });
   };
 
-  auto most_intensive = [&](bool frontier_only) -> AppIndex {
+  auto most_intensive_unplaced = [&]() -> AppIndex {
     AppIndex best = model::kInvalidId;
     double best_val = -std::numeric_limits<double>::infinity();
     for (AppIndex i = 0; i < n; ++i) {
       if (assigned[static_cast<std::size_t>(i)]) continue;
-      bool adjacent = false;
-      for_placed_edges(i, 0, [&](std::size_t, MachineId, MachineId) { adjacent = true; });
-      if (frontier_only && !adjacent) continue;
       const double v = intensity(s, i);
       if (v > best_val) {
         best_val = v;
@@ -96,14 +93,48 @@ std::vector<MachineId> dag_map_string(const DagSystemModel& model,
     return best;
   };
 
-  AppIndex next = most_intensive(/*frontier_only=*/false);  // seed
-  while (next != model::kInvalidId) {
-    place(next);
-    next = most_intensive(/*frontier_only=*/true);
-    if (next == model::kInvalidId) {
-      // Disconnected component: fall back to the global pick.
-      next = most_intensive(/*frontier_only=*/false);
+  // Places every app on a shortest path (edges taken in either direction)
+  // from the placed set to \p target, nearest the placed set first: a
+  // breadth-first search from all placed apps, neighbours in edge order.  An
+  // unreachable target (the first one, or another component) is placed
+  // alone, as a new seed.
+  std::vector<AppIndex> parent(static_cast<std::size_t>(n));
+  std::vector<AppIndex> queue;
+  std::vector<AppIndex> path;
+  auto march_to = [&](AppIndex target) {
+    std::fill(parent.begin(), parent.end(), model::kInvalidId);
+    queue.clear();
+    for (AppIndex i = 0; i < n; ++i) {
+      if (!assigned[static_cast<std::size_t>(i)]) continue;
+      parent[static_cast<std::size_t>(i)] = i;
+      queue.push_back(i);
     }
+    const auto reached = [&] {
+      return parent[static_cast<std::size_t>(target)] != model::kInvalidId;
+    };
+    for (std::size_t head = 0; head < queue.size() && !reached(); ++head) {
+      const AppIndex u = queue[head];
+      const auto visit = [&](AppIndex v) {
+        if (parent[static_cast<std::size_t>(v)] != model::kInvalidId) return;
+        parent[static_cast<std::size_t>(v)] = u;
+        queue.push_back(v);
+      };
+      for (const std::size_t e : in[static_cast<std::size_t>(u)]) visit(s.edges[e].from);
+      for (const std::size_t e : out[static_cast<std::size_t>(u)]) visit(s.edges[e].to);
+    }
+    path.clear();
+    for (AppIndex v = target; v != model::kInvalidId && !assigned[static_cast<std::size_t>(v)];
+         v = parent[static_cast<std::size_t>(v)]) {
+      path.push_back(v);  // an unreachable target has no parent: placed alone
+    }
+    for (auto it = path.rbegin(); it != path.rend(); ++it) place(*it);
+  };
+
+  // The most intensive app seeds the mapping; after that, each round marches
+  // to the most intensive unplaced app.  On a chain this is the chain IMR.
+  for (AppIndex target = most_intensive_unplaced(); target != model::kInvalidId;
+       target = most_intensive_unplaced()) {
+    march_to(target);
   }
   return assignment;
 }

@@ -1,12 +1,14 @@
 /// \file allocator.hpp
 /// DAG-aware greedy mapping: the IMR generalized from chains to DAGs.
 ///
-/// The chain IMR marches a contiguous frontier; for a DAG the frontier is the
-/// set of applications adjacent (by any edge) to the already-assigned set.
-/// Mapping still seeds at the most computationally intensive application and
-/// always extends with the most intensive frontier application, placing it on
-/// the machine that minimizes the max of the affected machine utilization and
-/// the utilizations of the routes to its already-placed neighbors.
+/// The chain IMR seeds at the most computationally intensive application and
+/// then marches its contiguous placed range, one neighbour at a time, toward
+/// the most intensive unplaced application.  For a DAG the march follows a
+/// shortest path (edges in either direction) from the placed set to that
+/// application, so on a chain the two mappers place the same applications in
+/// the same order.  Each application goes on the machine that minimizes the
+/// max of the affected machine utilization and the utilizations of the
+/// routes to its already-placed neighbors.
 
 #pragma once
 

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,9 +25,7 @@
 #include "core/decode.hpp"
 #include "core/imr.hpp"
 #include "model/system_model.hpp"
-#include "obs/metrics.hpp"
-#include "obs/names.hpp"
-#include "util/json.hpp"
+#include "testing/reject_counts.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -72,29 +69,6 @@ class Fnv {
   std::uint64_t h_ = 14695981039346656037ULL;
 };
 
-std::uint64_t counter(const util::Json& snapshot, std::string_view name) {
-  return static_cast<std::uint64_t>(
-      snapshot.at("counters").at(name).as_number());
-}
-
-struct RejectCounts {
-  std::uint64_t utilization = 0;
-  std::uint64_t throughput = 0;
-  std::uint64_t latency = 0;
-
-  static RejectCounts read() {
-    auto& reg = obs::MetricsRegistry::instance();
-    // Registering the names first keeps the lookups valid on a fresh registry.
-    (void)reg.counter(obs::names::kSessionRejectUtilization);
-    (void)reg.counter(obs::names::kSessionRejectThroughput);
-    (void)reg.counter(obs::names::kSessionRejectLatency);
-    const util::Json snap = reg.snapshot();
-    return {counter(snap, obs::names::kSessionRejectUtilization),
-            counter(snap, obs::names::kSessionRejectThroughput),
-            counter(snap, obs::names::kSessionRejectLatency)};
-  }
-};
-
 /// Folds the bits of every deployed string's cached estimates into \p h.
 void hash_estimates(const AllocationSession& session, Fnv& h) {
   const SystemModel& m = session.system();
@@ -117,7 +91,7 @@ TEST_P(CommitPath, MatchesReference) {
   util::Rng rng(c.seed);
   const SystemModel m = workload::generate(config, rng);
   const std::size_t q = m.num_strings();
-  const RejectCounts before = RejectCounts::read();
+  const testing::RejectCounts before = testing::RejectCounts::read();
 
   Fnv decisions;
   Fnv estimates;
@@ -175,7 +149,7 @@ TEST_P(CommitPath, MatchesReference) {
     }
   }
 
-  const RejectCounts after = RejectCounts::read();
+  const testing::RejectCounts after = testing::RejectCounts::read();
   EXPECT_EQ(decisions.value(), c.decisions_hash);
   EXPECT_EQ(estimates.value(), c.estimates_hash);
   EXPECT_EQ(fitness.value(), c.fitness_hash);

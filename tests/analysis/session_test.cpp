@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "analysis/feasibility.hpp"
+#include "core/decode.hpp"
+#include "core/imr.hpp"
 #include "model/system_model.hpp"
 #include "testing/builders.hpp"
+#include "testing/reject_counts.hpp"
+#include "util/rng.hpp"
+#include "workload/generator.hpp"
 
 namespace tsce::analysis {
 namespace {
@@ -107,6 +116,64 @@ TEST(Session, SessionResultMatchesBatchFeasibility) {
   ASSERT_TRUE(session.try_commit(1, {1, 0}));
   const auto report = check_feasibility(m, session.allocation());
   EXPECT_TRUE(report.feasible());
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Session, RejectedCommitLeavesSessionByteIdentical) {
+  // IMR-mapped commits in random orders with random checkpoint restores, on
+  // generated scenario-1 and scenario-2 instances: every rejection must
+  // leave the snapshot bytes and the state size exactly as they were.
+  testing::RejectCounts rejected;
+  for (const auto scenario : {workload::Scenario::kHighlyLoaded,
+                              workload::Scenario::kQosLimited}) {
+    for (const std::uint64_t seed : {2005u, 4242u, 7u}) {
+      auto config = workload::GeneratorConfig::for_scenario(scenario);
+      config.num_machines = 6;
+      config.num_strings = 40;
+      util::Rng rng(seed);
+      const SystemModel m = workload::generate(config, rng);
+      AllocationSession session(m);
+      SessionSnapshot checkpoint;
+      SessionSnapshot before;
+      SessionSnapshot after;
+      core::ImrScratch scratch;
+      std::vector<model::MachineId> assignment;
+      for (int round = 0; round < 4; ++round) {
+        std::vector<model::StringId> order = core::identity_order(m);
+        rng.shuffle(order);
+        session.snapshot_into(checkpoint);
+        for (const model::StringId k : order) {
+          if (session.allocation().deployed(k)) continue;
+          core::imr_map_string_into(m, session.util(), k, scratch, assignment);
+          session.snapshot_into(before);
+          const std::size_t bytes = session.state_bytes();
+          const testing::RejectCounts counts = testing::RejectCounts::read();
+          if (session.try_commit(k, assignment)) {
+            if (rng.bounded(6) == 0) session.restore_from(checkpoint);
+            continue;
+          }
+          const testing::RejectCounts counts_after = testing::RejectCounts::read();
+          rejected.utilization += counts_after.utilization - counts.utilization;
+          rejected.throughput += counts_after.throughput - counts.throughput;
+          rejected.latency += counts_after.latency - counts.latency;
+          session.snapshot_into(after);
+          ASSERT_EQ(session.state_bytes(), bytes) << "string " << k;
+          ASSERT_TRUE(after.alloc == before.alloc) << "string " << k;
+          ASSERT_TRUE(after.util.bytes == before.util.bytes) << "string " << k;
+          ASSERT_TRUE(same_bytes(after.t_of, before.t_of)) << "string " << k;
+          ASSERT_TRUE(same_bytes(after.comp, before.comp)) << "string " << k;
+          ASSERT_TRUE(same_bytes(after.tran, before.tran)) << "string " << k;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected.utilization, 0u);
+  EXPECT_GT(rejected.throughput, 0u);
+  EXPECT_GT(rejected.latency, 0u);
 }
 
 }  // namespace

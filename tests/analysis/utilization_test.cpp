@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "testing/builders.hpp"
 
 namespace tsce::analysis {
@@ -63,25 +65,6 @@ TEST(Utilization, SameMachineTransferNotOnRoute) {
   EXPECT_TRUE(util.transfers_on(0, 1).empty());
 }
 
-TEST(Utilization, RemoveStringIsExactInverse) {
-  const SystemModel m = testing::two_machine_system();
-  Allocation a(m);
-  a.assign(0, 0, 0);
-  a.assign(0, 1, 1);
-  a.set_deployed(0, true);
-  a.assign(1, 0, 1);
-  a.assign(1, 1, 0);
-  a.set_deployed(1, true);
-  UtilizationState util(m);
-  util.add_string(a, 0);
-  util.add_string(a, 1);
-  util.remove_string(a, 1);
-  EXPECT_DOUBLE_EQ(util.machine_util(0), 0.1);
-  EXPECT_DOUBLE_EQ(util.machine_util(1), 0.4);
-  EXPECT_DOUBLE_EQ(util.route_util(1, 0), 0.0);
-  EXPECT_TRUE(util.apps_on(0).size() == 1 && util.apps_on(1).size() == 1);
-}
-
 TEST(Utilization, FromAllocationSkipsUndeployed) {
   const SystemModel m = testing::two_machine_system();
   Allocation a(m);
@@ -96,13 +79,25 @@ TEST(Utilization, FromAllocationSkipsUndeployed) {
   EXPECT_DOUBLE_EQ(util.machine_util(1), 0.0);
 }
 
-TEST(Utilization, WhatIfQueriesDoNotMutate) {
+TEST(Utilization, FitsIfAddedChecksTouchedResourcesWithoutWriting) {
   const SystemModel m = testing::two_machine_system();
+  Allocation a(m);
+  // String 0 on machine 0 then 1: 0.1 and 0.4 utilization, 0.01 on 0->1.
+  const std::vector<model::MachineId> on = {0, 1};
+  a.assign(0, 0, 0);
+  a.assign(0, 1, 1);
   UtilizationState util(m);
-  EXPECT_DOUBLE_EQ(util.machine_util_if(0, 0, 1), 0.4);
+  EXPECT_TRUE(fits_if_added(util, 0, on));
   EXPECT_DOUBLE_EQ(util.machine_util(0), 0.0);
-  EXPECT_DOUBLE_EQ(util.route_util_if(0, 1, 0, 0), 0.01);
   EXPECT_DOUBLE_EQ(util.route_util(0, 1), 0.0);
+  EXPECT_EQ(util.apps_on(0).size(), 0u);
+  // Twice string 0's load fits; three times puts 1.2 on machine 1.
+  a.set_deployed(0, true);
+  util.add_string(a, 0);
+  EXPECT_TRUE(fits_if_added(util, 0, on));
+  util.add_string(a, 0);
+  EXPECT_FALSE(fits_if_added(util, 0, on));
+  EXPECT_DOUBLE_EQ(util.machine_util(1), 0.8);
 }
 
 TEST(Utilization, SlacknessIsMinResidualCapacity) {
@@ -117,7 +112,11 @@ TEST(Utilization, SlacknessIsMinResidualCapacity) {
   EXPECT_DOUBLE_EQ(util.machine_util(0), 0.725);
   EXPECT_NEAR(util.slackness(), 0.275, 1e-12);
   EXPECT_DOUBLE_EQ(util.max_machine_util(), 0.725);
-  EXPECT_DOUBLE_EQ(util.max_route_util(), 0.0);
+  for (model::MachineId j1 = 0; j1 < 2; ++j1) {
+    for (model::MachineId j2 = 0; j2 < 2; ++j2) {
+      EXPECT_DOUBLE_EQ(util.route_util(j1, j2), 0.0);
+    }
+  }
 }
 
 TEST(Utilization, EmptySystemHasFullSlack) {

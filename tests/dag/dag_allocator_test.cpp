@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/feasibility.hpp"
+#include "analysis/utilization.hpp"
+#include "core/imr.hpp"
 #include "dag/generator.hpp"
 #include "util/rng.hpp"
+#include "workload/generator.hpp"
 
 namespace tsce::dag {
 namespace {
@@ -59,6 +62,45 @@ TEST(DagMapper, SlowNetworkEncouragesColocation) {
   const auto assignment = dag_map_string(m, loads, 0);
   EXPECT_EQ(assignment[0], assignment[1]);
   EXPECT_EQ(assignment[0], assignment[2]);
+}
+
+TEST(DagMapper, LiftedChainMapsLikeChainImr) {
+  // On a chain the DAG mapper's shortest-path march is the chain IMR's march,
+  // so both must pick the same machines, on an empty system and on one that
+  // already carries the first half of the strings.
+  for (const auto scenario : {workload::Scenario::kHighlyLoaded,
+                              workload::Scenario::kQosLimited,
+                              workload::Scenario::kLightlyLoaded}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      auto config = workload::GeneratorConfig::for_scenario(scenario);
+      config.num_machines = 4 + seed % 3 * 4;
+      config.num_strings = 20;
+      util::Rng rng(seed);
+      const model::SystemModel chain = workload::generate(config, rng);
+      const DagSystemModel lifted = lift(chain);
+      analysis::UtilizationState util(chain);
+      analysis::Loads loads(chain.num_machines());
+      model::Allocation alloc(chain);
+      const auto q = static_cast<StringId>(chain.num_strings());
+      for (StringId k = 0; k < q; ++k) {
+        ASSERT_EQ(dag_map_string(lifted, loads, k), core::imr_map_string(chain, util, k))
+            << "seed " << seed << " string " << k << " (empty)";
+      }
+      for (StringId k = 0; k < q / 2; ++k) {
+        const auto assignment = core::imr_map_string(chain, util, k);
+        for (std::size_t i = 0; i < assignment.size(); ++i) {
+          alloc.assign(k, static_cast<AppIndex>(i), assignment[i]);
+        }
+        alloc.set_deployed(k, true);
+        util.add_string(alloc, k);
+        loads.add_string(lifted, alloc, k);
+      }
+      for (StringId k = q / 2; k < q; ++k) {
+        ASSERT_EQ(dag_map_string(lifted, loads, k), core::imr_map_string(chain, util, k))
+            << "seed " << seed << " string " << k << " (loaded)";
+      }
+    }
+  }
 }
 
 TEST(DagAllocator, MostWorthFirstIsFeasible) {
