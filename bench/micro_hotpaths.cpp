@@ -118,8 +118,10 @@ BENCHMARK(BM_DecodeFromScratch)->Arg(32)->Arg(64)->Arg(128);
 
 /// Cost of fanning a decoded prototype out to a replica via
 /// clone_state_from (the tempering / BatchEvaluator stamping primitive):
-/// O(state bytes) memcpys, allocation-free once the replica's buffers are
-/// sized.  Arg = number of strings decoded into the prototype.
+/// memcpys of the session's snapshot image (the bytes counter) plus its undo
+/// trail, commit stack and marks, allocation-free once the replica's buffers
+/// are sized.  Arg = number of strings in the order decoded into the
+/// prototype.
 void BM_SnapshotClone(benchmark::State& state) {
   const auto m = make_instance(6, static_cast<std::size_t>(state.range(0)));
   auto order = core::identity_order(m);
@@ -428,7 +430,8 @@ void BM_SessionCommitRestore(benchmark::State& state) {
     (void)session.try_commit(k, assignment);
   }
   const auto assignment = core::imr_map_string(m, session.util(), 8);
-  // Commit, then rewind to the checkpoint: the library's only rewind.
+  // Commit, then restore the snapshot taken before it (the rewind clones
+  // and a decode's empty-prefix rewind use).
   analysis::SessionSnapshot checkpoint;
   session.snapshot_into(checkpoint);
   std::int64_t accepted = 0;

@@ -67,6 +67,39 @@ AllocationSession::AllocationSession(const SystemModel& model, PriorityRule rule
   affected_stamp_.assign(q, 0);
   comp_journal_.reserve(apps);
   tran_journal_.reserve(trans);
+  trail_strings_.reserve(q);
+}
+
+AllocationSession::Mark AllocationSession::mark() const noexcept {
+  return {util_.mark(), static_cast<std::uint32_t>(trail_strings_.size()),
+          static_cast<std::uint32_t>(comp_journal_.size()),
+          static_cast<std::uint32_t>(tran_journal_.size())};
+}
+
+TSCE_HOT void AllocationSession::undo_to(const Mark& m) noexcept {
+  // Journals first, newest first, so a slot touched twice lands on its
+  // oldest value.  A journaled slot of a string committed after the mark
+  // then holds its value from right after that string's own commit, and the
+  // loop below overwrites it with NaN, as for every undeployed string.
+  for (std::size_t t = comp_journal_.size(); t-- > m.comp_journal;) {
+    comp_[comp_journal_[t].first] = comp_journal_[t].second;
+  }
+  for (std::size_t t = tran_journal_.size(); t-- > m.tran_journal;) {
+    tran_[tran_journal_[t].first] = tran_journal_[t].second;
+  }
+  comp_journal_.resize(m.comp_journal);
+  tran_journal_.resize(m.tran_journal);
+  const CoefficientTables& c = util_.coefficients();
+  for (std::size_t t = m.strings; t < trail_strings_.size(); ++t) {
+    const StringId k = trail_strings_[t];
+    const auto ku = static_cast<std::size_t>(k);
+    alloc_.clear_string(k);
+    t_of_[ku] = kNaN;
+    std::fill(comp_.begin() + c.app_off[ku], comp_.begin() + c.app_off[ku + 1], kNaN);
+    std::fill(tran_.begin() + c.tran_off[ku], tran_.begin() + c.tran_off[ku + 1], kNaN);
+  }
+  trail_strings_.resize(m.strings);
+  util_.undo_to(m.util);
 }
 
 void AllocationSession::snapshot_into(SessionSnapshot& out) const {
@@ -83,6 +116,9 @@ void AllocationSession::restore_from(const SessionSnapshot& snap) {
   t_of_ = snap.t_of;
   comp_ = snap.comp;
   tran_ = snap.tran;
+  comp_journal_.clear();
+  tran_journal_.clear();
+  trail_strings_.clear();
 }
 
 std::size_t AllocationSession::state_bytes() const noexcept {
@@ -114,12 +150,11 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
   assert(!alloc_.deployed(k));
   assert(assignment.size() == model_->strings[ku].size());
 
-  // Record the tentative assignment.  The utilization state is written only
-  // once both stages pass, so a rejection leaves it untouched.  Stale journal
-  // entries from a previous commit would poison a stage-one rollback, so
-  // clear them up front.
-  comp_journal_.clear();
-  tran_journal_.clear();
+  // Record the tentative assignment on the undo trail.  The utilization
+  // state is written only once both stages pass, so a rejection, which
+  // undoes to the mark taken here, leaves it untouched.
+  const Mark start = mark();
+  trail_strings_.push_back(k);  // reserved to Q: never reallocates
   for (std::size_t i = 0; i < assignment.size(); ++i) {
     assert(assignment[i] != model::kUnassigned);
     alloc_.assign(k, static_cast<AppIndex>(i), assignment[i]);
@@ -146,23 +181,10 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
   }
 
   if (!ok) {
-    // Roll back: clear the assignment, the priority slot and k's estimate
-    // slots (an undeployed string's slots are NaN), and restore the
-    // residents' slots stage two delta-updated from the journals.  Walking
-    // backwards makes repeated touches of one slot land on its oldest
-    // (pre-commit) value, so the session is bit-identical to its pre-commit
-    // state.
-    alloc_.clear_string(k);
-    t_of_[ku] = kNaN;
-    const CoefficientTables& c = util_.coefficients();
-    std::fill(comp_.begin() + c.app_off[ku], comp_.begin() + c.app_off[ku + 1], kNaN);
-    std::fill(tran_.begin() + c.tran_off[ku], tran_.begin() + c.tran_off[ku + 1], kNaN);
-    for (auto it = comp_journal_.rbegin(); it != comp_journal_.rend(); ++it) {
-      comp_[it->first] = it->second;
-    }
-    for (auto it = tran_journal_.rbegin(); it != tran_journal_.rend(); ++it) {
-      tran_[it->first] = it->second;
-    }
+    // Roll back k's assignment, priority and estimate slots and the
+    // residents' slots stage two journaled: the session is bit-identical to
+    // its pre-commit state.
+    undo_to(start);
     SessionMetrics::get().commit_latency_ns.record(
         obs::ticks_to_ns(obs::clock_ticks() - t0));
     obs::fr_record(obs::FrKind::kCommitReject, static_cast<std::uint64_t>(k),

@@ -14,6 +14,16 @@
 /// journaled, leaving the previous feasible intermediate mapping intact (the
 /// MWF/TF termination rule) byte for byte.
 ///
+/// The same undo goes back any number of commits (DESIGN.md §12).  The
+/// session keeps an undo trail since its last restore: the committed string
+/// ids, the stage-two journals of every commit, and the utilization state's
+/// own trail of touched resources.  mark() names a point on it, and
+/// undo_to(mark) writes the journals back newest first, returns the undone
+/// strings' assignment, priority and estimate slots to unassigned / NaN and
+/// undoes the utilization state — bit for bit the session at the mark, at a
+/// cost proportional to what was committed since.  A rejected try_commit is
+/// undo_to(the mark taken at its start).
+///
 /// Stage two makes one pass over each resident list the new string k
 /// touches (DESIGN.md §12): a resident that k preempts gets k's eq. (5)-(6)
 /// term added to its cached slot, and every other resident adds its term to
@@ -27,10 +37,9 @@
 /// eq. (5) computation estimates and one for all eq. (6) transfer estimates,
 /// indexed by prefix sums over string lengths — no per-string vectors, so the
 /// steady-state commit/rollback path never allocates.  The whole session
-/// state snapshots into a SessionSnapshot and restores back with a handful of
-/// memcpys, bit-exactly.  That is the session's only rewind: the prefix-reuse
-/// decode and the exact search return to a checkpoint this way, and
-/// replica-based engines clone sessions the same way.
+/// state also snapshots into a SessionSnapshot and restores back with a
+/// handful of memcpys, bit-exactly; restoring clears the undo trail.  The
+/// prefix-reuse decode and the exact search rewind by undo_to.
 
 #pragma once
 
@@ -77,17 +86,34 @@ class AllocationSession {
   /// (size n_k, no kUnassigned entries).  Runs the two-stage feasibility
   /// analysis on the resulting intermediate mapping; on success the string is
   /// committed and true is returned, otherwise the session state is unchanged
-  /// (its snapshot bytes included) and false is returned.
+  /// (its snapshot bytes and undo trail included) and false is returned.
   bool try_commit(model::StringId k, const std::vector<model::MachineId>& assignment);
+
+  /// A point on the undo trail: the committed-string count, the journal
+  /// lengths and the utilization state's mark.  Valid until the session is
+  /// undone past it or restored.
+  struct Mark {
+    UtilizationState::Mark util;
+    std::uint32_t strings = 0;
+    std::uint32_t comp_journal = 0;
+    std::uint32_t tran_journal = 0;
+  };
+  [[nodiscard]] Mark mark() const noexcept;
+  /// Undoes every commit since \p m, newest first: afterwards the session is
+  /// bit-identical to the session when \p m was taken.
+  void undo_to(const Mark& m) noexcept;
 
   /// Copies the full session state into \p out (buffers reused — no
   /// allocation once \p out has reached working size).  restore_from() is the
   /// exact inverse: the restored session is bit-identical to the session at
   /// snapshot time, including resident-list order, so it is interchangeable
-  /// with a session that replayed the same commit history.
+  /// with a session that replayed the same commit history.  The undo trail
+  /// is not part of the image: restore_from() clears it, voiding every mark.
   void snapshot_into(SessionSnapshot& out) const;
   void restore_from(const SessionSnapshot& snap);
-  /// Bytes a snapshot/clone copies (utilization arena + flat session arrays).
+  /// Bytes a snapshot copies (utilization arena + flat session arrays).  A
+  /// copy of the session also copies its undo trail, which grows with the
+  /// commits since the last restore.
   [[nodiscard]] std::size_t state_bytes() const noexcept;
 
   [[nodiscard]] const model::SystemModel& system() const noexcept { return *model_; }
@@ -145,10 +171,13 @@ class AllocationSession {
   std::vector<model::StringId> affected_strings_;
   std::vector<std::uint32_t> affected_stamp_;
   std::uint32_t affected_epoch_ = 0;
-  /// Pre-commit values of estimate slots delta-updated by stage two, so a
-  /// rejected commit restores them bit-exactly (float subtraction would not).
+  /// Undo trail.  Pre-commit values of estimate slots delta-updated by stage
+  /// two, for every commit since the last restore, so an undo restores them
+  /// bit-exactly (float subtraction would not); and the committed strings in
+  /// commit order (a rejected commit's string sits at the tail until undone).
   std::vector<std::pair<std::uint32_t, double>> comp_journal_;
   std::vector<std::pair<std::uint32_t, double>> tran_journal_;
+  std::vector<model::StringId> trail_strings_;
 };
 
 }  // namespace tsce::analysis

@@ -86,6 +86,10 @@ UtilizationState::UtilizationState(const SystemModel& model)
   machine_util_ = arena_.alloc<double>(m);
   route_util_ = arena_.alloc<double>(m * m);
   slabs_ = arena_.alloc<Slab>(m + m * m);
+  assert(route_util_.offset == machine_util_.offset + m * sizeof(double));  // util_of
+  // A string touches at most one machine per app and one route per transfer.
+  trail_.reserve(coef_->app_off[model.num_strings()] +
+                 coef_->tran_off[model.num_strings()]);
 }
 
 UtilizationState UtilizationState::from_allocation(const SystemModel& model,
@@ -124,10 +128,14 @@ double UtilizationState::route_delta(StringId k, AppIndex i, MachineId j1,
          model_->network.bandwidth_mbps(j1, j2);
 }
 
-TSCE_HOT void UtilizationState::slab_push(std::size_t resource, AppRef ref) {
+TSCE_HOT void UtilizationState::add_to(std::size_t resource, double delta,
+                                       AppRef ref) {
   // Copy the slab descriptor out first: growing the pool may move the arena's
   // backing buffer, which would invalidate a reference into it.
   Slab s = arena_.view(slabs_)[resource];
+  double& u = util_of(resource);
+  trail_.push_back({static_cast<std::uint32_t>(resource), s, u});
+  u += delta;
   if (s.size == s.cap) {
     const std::uint32_t new_cap = s.cap == 0 ? 4 : s.cap * 2;
     const util::ArenaSpan<AppRef> moved =
@@ -146,18 +154,34 @@ TSCE_HOT void UtilizationState::add_string(const Allocation& alloc, StringId k) 
   for (AppIndex i = 0; i < n; ++i) {
     const MachineId j = alloc.machine_of(k, i);
     assert(j != model::kUnassigned);
-    arena_.view(machine_util_)[static_cast<std::size_t>(j)] +=
-        machine_delta(k, i, j);
-    slab_push(static_cast<std::size_t>(j), {k, i});
+    add_to(static_cast<std::size_t>(j), machine_delta(k, i, j), {k, i});
     if (i + 1 < n) {
       const MachineId j2 = alloc.machine_of(k, i + 1);
       if (j != j2) {
-        const std::size_t r = route_index(j, j2);
-        arena_.view(route_util_)[r] += route_delta(k, i, j, j2);
-        slab_push(num_machines() + r, {k, i});
+        add_to(num_machines() + route_index(j, j2), route_delta(k, i, j, j2), {k, i});
       }
     }
   }
+}
+
+TSCE_HOT void UtilizationState::undo_to(Mark m) noexcept {
+  // Newest first, so a resource touched twice lands on its oldest value.  A
+  // slab that did not grow had ref written at its old size, a slot that held
+  // zero bytes (slab slots past the size are zero: alloc and grow zero them,
+  // and this loop re-zeroes what it pops); a slab that grew was either
+  // extended past the marked tip or moved to a fresh region past it, leaving
+  // its old region unwritten.  Dropping the tip discards the rest.
+  for (std::size_t t = trail_.size(); t-- > m.trail;) {
+    const TrailEntry& e = trail_[t];
+    util_of(e.resource) = e.util;
+    arena_.view(slabs_)[e.resource] = e.slab;
+    if (e.slab.size < e.slab.cap) {
+      arena_.view(util::ArenaSpan<AppRef>{e.slab.begin, e.slab.cap})[e.slab.size] =
+          AppRef{};
+    }
+  }
+  trail_.resize(m.trail);
+  arena_.rewind(m.tip);
 }
 
 TSCE_HOT bool fits_if_added(const UtilizationState& util, StringId k,

@@ -5,9 +5,10 @@
 /// allocation and incremental addition of single strings, which the
 /// sequential heuristics (IMR inside MWF/TF/PSG decode) rely on.  It also
 /// tracks which applications/transfers reside on each resource, which the
-/// stage-two time estimation reuses.  A state only grows: a candidate string
-/// is checked against it with fits_if_added() and added once accepted, and a
-/// session goes back to an earlier state by snapshot restore.
+/// stage-two time estimation reuses.  A candidate string is checked against
+/// the state with fits_if_added() and added once accepted.  The state goes
+/// back to an earlier point by undo_to() a mark (the undo trail below) or by
+/// snapshot restore.
 ///
 /// Memory layout (DESIGN.md §12): the whole state is one contiguous
 /// util::Arena block — flat utilization arrays, a slab table of per-resource
@@ -15,6 +16,14 @@
 /// slabs that grow in place amortized.  Because every internal reference is
 /// an arena offset, snapshot()/restore() are single memcpys of the used
 /// prefix and are bit-exact.
+///
+/// Undo trail: add_string() records, for every resource it touches, the
+/// resource's old utilization and old slab descriptor; a mark is the trail
+/// length plus the arena tip.  undo_to(mark) writes the records back newest
+/// first and drops the tip, so the state is bit-identical to the state at the
+/// mark, at a cost proportional to the strings added since, not to the
+/// state's size.  The trail is not part of the snapshot image; restoring a
+/// snapshot clears it.
 ///
 /// Every per-app and per-string factor the hot loops multiply by (t*u, the
 /// utilization deltas, output megabits, periods, IMR intensities) is read
@@ -101,8 +110,22 @@ class UtilizationState {
       std::span<const model::StringId> deploy_order);
 
   /// Adds every application/transfer of string k using its assignment in
-  /// \p alloc (string must be fully mapped).
+  /// \p alloc (string must be fully mapped), recording each touched
+  /// resource's old values on the undo trail.
   void add_string(const model::Allocation& alloc, model::StringId k);
+
+  /// A point in this state's history: the undo-trail length and the arena
+  /// tip.  Valid until the state is undone past it or restored.
+  struct Mark {
+    std::uint32_t trail = 0;
+    util::Arena::Checkpoint tip;
+  };
+  [[nodiscard]] Mark mark() const noexcept {
+    return {static_cast<std::uint32_t>(trail_.size()), arena_.checkpoint()};
+  }
+  /// Undoes every add_string since \p m, newest first: the state is
+  /// bit-identical to the state when \p m was taken.
+  void undo_to(Mark m) noexcept;
 
   /// U_machine[j], eq. (2).
   [[nodiscard]] double machine_util(model::MachineId j) const noexcept {
@@ -146,10 +169,16 @@ class UtilizationState {
   /// Snapshot protocol: the state is one arena block, so a snapshot is one
   /// memcpy of the used prefix and restore is the inverse memcpy — bit-exact,
   /// O(bytes), no per-string work.  A snapshot may be restored into any
-  /// UtilizationState built from the same SystemModel.
+  /// UtilizationState built from the same SystemModel; restoring clears the
+  /// undo trail (earlier marks are void).
   void snapshot_into(util::ArenaSnapshot& out) const { arena_.snapshot_into(out); }
-  void restore_from(const util::ArenaSnapshot& snap) { arena_.restore_from(snap); }
-  /// Size of the contiguous state block (what snapshot/clone copy).
+  void restore_from(const util::ArenaSnapshot& snap) {
+    arena_.restore_from(snap);
+    trail_.clear();
+  }
+  /// Size of the contiguous state block: what a snapshot copies.  A copy of
+  /// the state also copies the undo trail, 24 bytes per touched resource of
+  /// each string added since the last restore.
   [[nodiscard]] std::size_t state_bytes() const noexcept { return arena_.used(); }
 
  private:
@@ -162,14 +191,29 @@ class UtilizationState {
     std::uint32_t cap = 0;
   };
 
+  /// One undo-trail record: a resource's utilization and slab descriptor
+  /// before an add_string touched it.
+  struct TrailEntry {
+    std::uint32_t resource;
+    Slab slab;
+    double util;
+  };
+
   /// Unified resource index: machines are [0, M), routes are M + route_index.
   [[nodiscard]] std::span<const AppRef> slab_span(std::size_t resource) const noexcept {
     const Slab& s = arena_.view(slabs_)[resource];
     return arena_.view(util::ArenaSpan<AppRef>{s.begin, s.size});
   }
-  /// Appends \p ref to a resident slab, growing it amortized (in place when
-  /// the slab sits at the arena tip).
-  void slab_push(std::size_t resource, AppRef ref);
+  /// Utilization of a unified resource index (machine_util_ and route_util_
+  /// are adjacent in the arena).
+  [[nodiscard]] double& util_of(std::size_t resource) noexcept {
+    return arena_.view(util::ArenaSpan<double>{
+        machine_util_.offset, machine_util_.count + route_util_.count})[resource];
+  }
+  /// Trails the resource's old values, adds \p delta to its utilization and
+  /// appends \p ref to its resident slab, growing the slab amortized (in
+  /// place when it sits at the arena tip).
+  void add_to(std::size_t resource, double delta, AppRef ref);
 
   [[nodiscard]] std::size_t route_index(model::MachineId j1, model::MachineId j2) const noexcept {
     return static_cast<std::size_t>(j1) * num_machines() + static_cast<std::size_t>(j2);
@@ -183,6 +227,7 @@ class UtilizationState {
   util::ArenaSpan<double> machine_util_;
   util::ArenaSpan<double> route_util_;  // M x M row-major; diagonal stays 0
   util::ArenaSpan<Slab> slabs_;         // M machine slabs, then M*M route slabs
+  std::vector<TrailEntry> trail_;       // reserved for every app and transfer
 };
 
 /// Stage one (eqs. (2)-(3)) for a candidate: true when adding string k with

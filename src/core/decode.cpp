@@ -60,8 +60,7 @@ constexpr std::uint64_t memo_key(std::uint64_t h, std::size_t length) noexcept {
 
 DecodeContext::DecodeContext(const SystemModel& model) : session_(model) {
   committed_.reserve(model.num_strings());
-  checkpoints_.resize(model.num_strings() + 1);
-  session_.snapshot_into(checkpoints_[0]);
+  marks_.reserve(model.num_strings());
 }
 
 DecodeContext::~DecodeContext() {
@@ -77,40 +76,35 @@ TSCE_HOT bool DecodeContext::try_push(StringId k) {
   ++commits_attempted_;
   imr_map_string_into(session_.system(), session_.util(), k, imr_scratch_,
                       assignment_scratch_);
+  const analysis::AllocationSession::Mark before = session_.mark();
   if (!session_.try_commit(k, assignment_scratch_)) return false;
   committed_.push_back(k);
-  // Checkpoint the new depth so any later rewind past this point is a
-  // restore.  Snapshot buffers are depth-slot-stable, so this is memcpys
-  // only once the first full decode has sized them.
-  session_.snapshot_into(checkpoints_[committed_.size()]);
+  marks_.push_back(before);
   return true;
 }
 
 TSCE_HOT void DecodeContext::pop() {
   assert(!committed_.empty());
-  session_.restore_from(checkpoints_[committed_.size() - 1]);
+  session_.undo_to(marks_.back());
   committed_.pop_back();
+  marks_.pop_back();
 }
 
 TSCE_HOT void DecodeContext::rewind_to(std::size_t prefix_len) {
   assert(prefix_len <= committed_.size());
   if (prefix_len >= committed_.size()) return;
-  // Checkpoint restore: O(state bytes) regardless of how long the dropped
-  // suffix is.  Bit-identical to a fresh session that commits only the kept
-  // prefix (the session property test pins this equivalence down).
-  session_.restore_from(checkpoints_[prefix_len]);
+  // The session is then bit-identical to a fresh session that commits only
+  // the kept prefix (the session property test pins this down).
+  session_.undo_to(marks_[prefix_len]);
   committed_.resize(prefix_len);
+  marks_.resize(prefix_len);
 }
 
 void DecodeContext::clone_state_from(const DecodeContext& other) {
   assert(&session_.system() == &other.session_.system());
+  session_ = other.session_;  // flat vectors and the arena: buffer-reusing copies
   committed_ = other.committed_;
-  // The live checkpoints [0, depth] are part of the decode state; deeper
-  // slots are stale in both contexts and never read before being rewritten.
-  for (std::size_t d = 0; d <= other.committed_.size(); ++d) {
-    checkpoints_[d] = other.checkpoints_[d];
-  }
-  session_.restore_from(checkpoints_[committed_.size()]);
+  marks_ = other.marks_;
 }
 
 DecodeResult DecodeContext::materialize(const DecodeOutcome& outcome) const {

@@ -9,12 +9,11 @@
 /// permutations, so DecodeContext keeps one long-lived AllocationSession and
 /// diffs each new order against the commit stack of the previous one.  Only
 /// the divergent suffix is re-decoded; the longest common prefix is reused
-/// verbatim.  Rewinding is a checkpoint restore (DESIGN.md §12): the context
-/// keeps a per-depth SessionSnapshot stack, so dropping a suffix is a few
-/// memcpys of flat state.  Observable state after a restore is bit-identical
-/// to a from-scratch decode of the shared prefix (the session's flat layout
-/// makes the snapshot a byte image), so incremental results equal full
-/// re-decodes exactly.
+/// verbatim.  Rewinding undoes the session's trail (DESIGN.md §12): the
+/// context keeps one session mark per depth, so dropping a suffix costs in
+/// proportion to the suffix, not to the session's size.  Observable state
+/// after an undo is bit-identical to a from-scratch decode of the shared
+/// prefix, so incremental results equal full re-decodes exactly.
 ///
 /// Searches that need only the fitness go one step further: a decode stops at
 /// the first string that fails, so its result depends only on the *decisive
@@ -58,10 +57,10 @@ struct DecodeOutcome {
 };
 
 /// Reusable decoding state: a long-lived AllocationSession, the stack of
-/// committed strings, and one SessionSnapshot per depth (checkpoints_[d] is
-/// the session state with exactly the first d committed strings deployed).
-/// A context is single-threaded; parallel evaluation uses one context per
-/// worker (see BatchEvaluator in evaluator.hpp).
+/// committed strings, one session mark per depth (marks_[d] is the mark with
+/// exactly the first d committed strings deployed).  A context is
+/// single-threaded; parallel evaluation uses one context per worker (see
+/// BatchEvaluator in evaluator.hpp).
 class DecodeContext {
  public:
   explicit DecodeContext(const model::SystemModel& model);
@@ -74,25 +73,26 @@ class DecodeContext {
   }
 
   /// Incremental primitive: IMR-maps string k onto the current utilization
-  /// state and attempts the commit.  On success k joins the commit stack and
-  /// the new depth is checkpointed.  The exact enumerator drives its
+  /// state and attempts the commit.  On success k joins the commit stack
+  /// with the session mark taken before it.  The exact enumerator drives its
   /// depth-first search with these.
   bool try_push(model::StringId k);
-  /// Uncommits the most recently pushed string (checkpoint restore).
+  /// Uncommits the most recently pushed string (undo to its mark).
   void pop();
-  /// Rewinds until only \p prefix_len strings remain committed: restores the
-  /// checkpoint taken when the prefix was first decoded — O(state bytes),
-  /// independent of suffix length.
+  /// Rewinds until only \p prefix_len strings remain committed: undoes the
+  /// session to the mark of that depth, at a cost proportional to the
+  /// dropped suffix.
   void rewind_to(std::size_t prefix_len);
 
-  /// Clones another context's decode state (session, commit stack, and the
-  /// live checkpoints) into this one, reusing this context's buffers —
-  /// O(state bytes) memcpys, allocation-free in steady state.  Both contexts
-  /// must be built from the same SystemModel.  Replica-based engines
-  /// (tempering, BatchEvaluator) use this to fan a decoded prototype out to
-  /// workers instead of re-decoding per replica.
+  /// Clones another context's decode state (session with its undo trail,
+  /// commit stack and marks) into this one, reusing this context's buffers —
+  /// memcpys of state_bytes() plus the trail, allocation-free in steady
+  /// state.  Both contexts must be built from the same SystemModel.
+  /// Replica-based engines (tempering, BatchEvaluator) use this to fan a
+  /// decoded prototype out to workers instead of re-decoding per replica.
   void clone_state_from(const DecodeContext& other);
-  /// Bytes one snapshot/clone copies (see AllocationSession::state_bytes).
+  /// Bytes of the session's snapshot image (see
+  /// AllocationSession::state_bytes); a clone copies these and the trail.
   [[nodiscard]] std::size_t state_bytes() const noexcept {
     return session_.state_bytes();
   }
@@ -159,9 +159,9 @@ class DecodeContext {
 
   analysis::AllocationSession session_;
   std::vector<model::StringId> committed_;
-  /// checkpoints_[d] = session state at depth d, valid for d in [0, depth()].
-  /// Snapshots reuse their buffers, so steady-state pushes don't allocate.
-  std::vector<analysis::SessionSnapshot> checkpoints_;
+  /// marks_[d] = session mark at depth d, for d in [0, depth()); reserved to
+  /// Q, so pushes never allocate.
+  std::vector<analysis::AllocationSession::Mark> marks_;
   ImrScratch imr_scratch_;
   std::vector<model::MachineId> assignment_scratch_;
   std::size_t decodes_ = 0;

@@ -7,61 +7,67 @@
 
 namespace tsce::dag {
 
-std::vector<AppIndex> DagString::topological_order() const {
-  const std::size_t n = size();
-  std::vector<std::size_t> in_degree(n, 0);
-  for (const DagEdge& e : edges) {
-    if (e.to >= 0 && static_cast<std::size_t>(e.to) < n) {
-      ++in_degree[static_cast<std::size_t>(e.to)];
-    }
-  }
-  // Each node enters the ready queue at most once, so a reserved vector with
-  // a head cursor replaces the deque: one allocation, FIFO order preserved.
-  std::vector<AppIndex> ready;
-  ready.reserve(n);
+EdgeBuckets::EdgeBuckets(std::size_t n, const std::vector<DagEdge>& edges,
+                         AppIndex DagEdge::*endpoint)
+    : data_(n + 1 + edges.size(), 0) {
+  const auto bucket = [endpoint](const DagEdge& e) {
+    return static_cast<std::size_t>(e.*endpoint);
+  };
+  // Counting sort: count per bucket, turn counts into bucket ends, then
+  // place edges last to first, moving each boundary down to its start.
+  for (const DagEdge& e : edges) ++data_[bucket(e)];
+  std::size_t end = n + 1;
   for (std::size_t i = 0; i < n; ++i) {
-    if (in_degree[i] == 0) ready.push_back(static_cast<AppIndex>(i));
+    end += data_[i];
+    data_[i] = end;
   }
+  data_[n] = end;
+  for (std::size_t e = edges.size(); e-- > 0;) data_[--data_[bucket(edges[e])]] = e;
+}
+
+namespace {
+
+/// Kahn's algorithm with a FIFO ready queue seeded in index order, releasing
+/// targets in out-edge order; empty when the graph has a cycle.  The order
+/// vector doubles as the queue: a head cursor walks it as it grows.
+std::vector<AppIndex> kahn_order(std::size_t n, const std::vector<DagEdge>& edges,
+                                 const EdgeBuckets& in, const EdgeBuckets& out) {
+  std::vector<std::size_t> waiting(n);
   std::vector<AppIndex> order;
   order.reserve(n);
-  const auto out = edges_out();
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    const AppIndex i = ready[head];
-    order.push_back(i);
-    for (const std::size_t e : out[static_cast<std::size_t>(i)]) {
+  for (std::size_t i = 0; i < n; ++i) {
+    waiting[i] = in[i].size();
+    if (waiting[i] == 0) order.push_back(static_cast<AppIndex>(i));
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const std::size_t e : out[static_cast<std::size_t>(order[head])]) {
       const auto to = static_cast<std::size_t>(edges[e].to);
-      if (--in_degree[to] == 0) ready.push_back(static_cast<AppIndex>(to));
+      if (--waiting[to] == 0) order.push_back(static_cast<AppIndex>(to));
     }
   }
   if (order.size() != n) order.clear();  // cycle
   return order;
 }
 
-std::vector<std::vector<std::size_t>> DagString::edges_in() const {
-  std::vector<std::vector<std::size_t>> in(size());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    in[static_cast<std::size_t>(edges[e].to)].push_back(e);
-  }
-  return in;
+}  // namespace
+
+std::vector<AppIndex> DagString::topological_order() const {
+  return kahn_order(size(), edges, edges_in(), edges_out());
 }
 
-std::vector<std::vector<std::size_t>> DagString::edges_out() const {
-  std::vector<std::vector<std::size_t>> out(size());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    out[static_cast<std::size_t>(edges[e].from)].push_back(e);
-  }
-  return out;
-}
+EdgeBuckets DagString::edges_in() const { return {size(), edges, &DagEdge::to}; }
+
+EdgeBuckets DagString::edges_out() const { return {size(), edges, &DagEdge::from}; }
 
 CriticalPath DagString::critical_path(std::span<const double> comp,
                                      std::span<const double> tran) const {
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  const auto in = edges_in();
+  const EdgeBuckets in = edges_in();
   std::vector<double> finish(size(), 0.0);
   std::vector<std::size_t> pred(size(), kNone);  // edge the path enters by
   CriticalPath path;
   std::size_t sink = kNone;
-  for (const AppIndex i : topological_order()) {
+  for (const AppIndex i : kahn_order(size(), edges, in, edges_out())) {
     const auto iu = static_cast<std::size_t>(i);
     double start = 0.0;
     for (const std::size_t e : in[iu]) {
@@ -77,6 +83,8 @@ CriticalPath DagString::critical_path(std::span<const double> comp,
       sink = iu;
     }
   }
+  path.apps.reserve(size());  // a path visits each application at most once
+  path.edges.reserve(edges.size());
   for (std::size_t i = sink; i != kNone;) {
     path.apps.push_back(static_cast<AppIndex>(i));
     if (pred[i] == kNone) break;

@@ -40,6 +40,24 @@ struct DagEdge {
   friend bool operator==(const DagEdge&, const DagEdge&) = default;
 };
 
+/// Edge indices bucketed by one endpoint (see DagString::edges_in /
+/// edges_out), in one buffer: n + 1 bucket boundaries, then the edge
+/// indices, each bucket in edge index order.  Bucket i is operator[](i).
+class EdgeBuckets {
+ public:
+  /// Buckets \p edges by their \p endpoint (&DagEdge::from or &DagEdge::to),
+  /// which must be below \p n.
+  EdgeBuckets(std::size_t n, const std::vector<DagEdge>& edges,
+              AppIndex DagEdge::*endpoint);
+
+  [[nodiscard]] std::span<const std::size_t> operator[](std::size_t i) const noexcept {
+    return {data_.data() + data_[i], data_[i + 1] - data_[i]};
+  }
+
+ private:
+  std::vector<std::size_t> data_;
+};
+
 /// A longest path through a DAG string under given durations.
 struct CriticalPath {
   double length = 0.0;
@@ -60,13 +78,15 @@ struct DagString {
     return model::worth_value(worth);
   }
 
-  /// Topological order of the applications; empty when the graph has a cycle
-  /// (which validate() reports as an error).
+  /// Topological order of the applications (Kahn's algorithm, FIFO, ready
+  /// applications in index order); empty when the graph has a cycle (which
+  /// validate() reports as an error).  Edge endpoints must be valid.
   [[nodiscard]] std::vector<AppIndex> topological_order() const;
 
-  /// Incoming/outgoing edge indices per application.
-  [[nodiscard]] std::vector<std::vector<std::size_t>> edges_in() const;
-  [[nodiscard]] std::vector<std::vector<std::size_t>> edges_out() const;
+  /// Incoming/outgoing edge indices per application, in edge order.  Edge
+  /// endpoints must be valid.
+  [[nodiscard]] EdgeBuckets edges_in() const;
+  [[nodiscard]] EdgeBuckets edges_out() const;
 
   /// Longest path given per-app durations \p comp and per-edge durations
   /// \p tran: an app starts when its last input arrives.  Ties keep the

@@ -98,8 +98,8 @@ TEST_P(CommitPath, MatchesReference) {
   Fnv fitness;
 
   // Part 1: IMR-mapped commits in random order, with random rewinds to a
-  // checkpoint taken earlier in the round (snapshot_into / restore_from, the
-  // library's only rewind), so commits on restored state are pinned too.
+  // checkpoint taken earlier in the round (snapshot_into / restore_from), so
+  // commits on restored state are pinned too.
   {
     AllocationSession session(m);
     SessionSnapshot checkpoint;

@@ -1,9 +1,11 @@
 /// Property test for AllocationSession's incremental stage two: random
-/// histories of accepted and rejected try_commit and snapshot/restore on
+/// histories of accepted and rejected try_commit, snapshot/restore and
+/// mark/undo_to (undos span several commits, rejected ones among them) on
 /// random small instances.  After every step the live session must be
 /// bitwise equal to a fresh session that commits the surviving strings, with
 /// the same assignments, in their surviving deploy order (utilization,
-/// resident lists and every cached eq. (5)-(6) estimate),
+/// resident lists, state bytes, the whole snapshot image and every cached
+/// eq. (5)-(6) estimate),
 /// and its estimates must agree with the from-scratch estimate_all reference
 /// to 1e-12 relative (which folds residents in string-id order, so it may
 /// differ by float re-association only).
@@ -37,6 +39,11 @@ bool bit_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 bool close(double a, double b) {
   return std::abs(a - b) <= 1e-12 * std::max(std::abs(a), std::abs(b));
 }
@@ -55,6 +62,11 @@ struct Saved {
   std::vector<StringId> deploy_order;
 };
 
+struct Marked {
+  AllocationSession::Mark mark;
+  std::vector<StringId> deploy_order;
+};
+
 class History {
  public:
   History(const SystemModel& m, PriorityRule rule, std::uint64_t seed)
@@ -63,12 +75,16 @@ class History {
   void run(int steps) {
     for (int step = 0; step < steps; ++step) {
       const auto r = rng_.bounded(10);
-      if (r < 6) {
+      if (r < 5) {
         commit_random_string();
-      } else if (r < 8 || saved_.empty()) {
+      } else if (r == 5 || (r == 6 && saved_.empty())) {
         save();
-      } else {
+      } else if (r == 6) {
         restore();
+      } else if (r < 9 || marks_.empty()) {
+        take_mark();
+      } else {
+        undo();
       }
       verify();
       if (::testing::Test::HasFatalFailure()) return;
@@ -77,6 +93,7 @@ class History {
 
   [[nodiscard]] int accepted() const { return accepted_; }
   [[nodiscard]] int rejected() const { return rejected_; }
+  [[nodiscard]] int undos() const { return undos_; }
 
  private:
   void commit_random_string() {
@@ -119,6 +136,21 @@ class History {
     const Saved& s = saved_[rng_.bounded(saved_.size())];
     session_.restore_from(s.snap);
     deploy_order_ = s.deploy_order;
+    marks_.clear();  // a restore voids every mark
+  }
+
+  void take_mark() {
+    marks_.push_back({session_.mark(), deploy_order_});
+  }
+
+  /// Undoes to a random live mark; the marks after it are void, the mark
+  /// itself stays live.
+  void undo() {
+    const std::size_t i = rng_.bounded(marks_.size());
+    session_.undo_to(marks_[i].mark);
+    deploy_order_ = marks_[i].deploy_order;
+    marks_.resize(i + 1);
+    ++undos_;
   }
 
   void verify() const {
@@ -144,6 +176,17 @@ class History {
                                        fresh.transfers_on(j, j2)));
       }
     }
+    ASSERT_EQ(session_.state_bytes(), replay.state_bytes());
+    // The whole snapshot image, arena bytes and NaN slots included.
+    SessionSnapshot live_image;
+    SessionSnapshot fresh_image;
+    session_.snapshot_into(live_image);
+    replay.snapshot_into(fresh_image);
+    ASSERT_TRUE(live_image.alloc == fresh_image.alloc);
+    ASSERT_TRUE(live_image.util.bytes == fresh_image.util.bytes);
+    ASSERT_TRUE(bytes_equal(live_image.t_of, fresh_image.t_of));
+    ASSERT_TRUE(bytes_equal(live_image.comp, fresh_image.comp));
+    ASSERT_TRUE(bytes_equal(live_image.tran, fresh_image.tran));
     ASSERT_TRUE(bit_equal(session_.fitness().slackness, replay.fitness().slackness));
     ASSERT_EQ(session_.fitness().total_worth, replay.fitness().total_worth);
 
@@ -185,8 +228,10 @@ class History {
   std::vector<MachineId> assignment_;
   std::vector<StringId> deploy_order_;
   std::vector<Saved> saved_;
+  std::vector<Marked> marks_;
   int accepted_ = 0;
   int rejected_ = 0;
+  int undos_ = 0;
 };
 
 TEST(SessionProperty, IncrementalMatchesFromScratch) {
@@ -198,6 +243,7 @@ TEST(SessionProperty, IncrementalMatchesFromScratch) {
                                      PriorityRule::kWorth};
   int accepted = 0;
   int rejected = 0;
+  int undos = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     util::Rng rng(seed);
     auto config = workload::GeneratorConfig::for_scenario(kScenarios[seed % 3]);
@@ -211,10 +257,13 @@ TEST(SessionProperty, IncrementalMatchesFromScratch) {
     if (HasFatalFailure()) return;
     accepted += history.accepted();
     rejected += history.rejected();
+    undos += history.undos();
   }
-  // Both commit outcomes were exercised (rejections roll back the journals).
+  // Both commit outcomes were exercised (rejections roll back the journals),
+  // and so were undos.
   EXPECT_GT(accepted, 100);
   EXPECT_GT(rejected, 100);
+  EXPECT_GT(undos, 100);
 }
 
 }  // namespace

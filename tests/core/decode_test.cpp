@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "analysis/feasibility.hpp"
 #include "model/system_model.hpp"
 #include "testing/builders.hpp"
@@ -176,6 +179,60 @@ TEST(DecodeContext, PrefixReuseMatchesFromScratchFuzz) {
       expect_matches_from_scratch(ctx, m, prefix);
       expect_matches_from_scratch(ctx, m, order);
     }
+  }
+}
+
+/// Random walks of the incremental primitives on two contexts of one model:
+/// try_push of a random uncommitted string, pop, rewind_to a random depth
+/// (0 included) and clone_state_from the other context.  After every step
+/// the walked context's allocation and fitness bits equal a from-scratch
+/// decode of its committed prefix.
+TEST(DecodeContext, RandomWalkMatchesDecodeOfCommittedPrefix) {
+  for (const auto scenario :
+       {workload::Scenario::kHighlyLoaded, workload::Scenario::kQosLimited,
+        workload::Scenario::kLightlyLoaded}) {
+    util::Rng rng(static_cast<std::uint64_t>(scenario) * 7 + 3);
+    auto config = workload::GeneratorConfig::for_scenario(scenario);
+    config.num_machines = 4;
+    config.num_strings = 24;
+    const SystemModel m = workload::generate(config, rng);
+    DecodeContext contexts[2] = {DecodeContext(m), DecodeContext(m)};
+    std::size_t pushes = 0;
+    std::size_t undos = 0;
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE("scenario=" + std::to_string(static_cast<int>(scenario)) +
+                   " step=" + std::to_string(step));
+      const std::size_t c = rng.bounded(2);
+      DecodeContext& ctx = contexts[c];
+      const auto r = rng.bounded(10);
+      if (r < 6) {
+        std::vector<StringId> free;
+        for (std::size_t k = 0; k < m.num_strings(); ++k) {
+          if (!ctx.allocation().deployed(static_cast<StringId>(k))) {
+            free.push_back(static_cast<StringId>(k));
+          }
+        }
+        if (!free.empty()) pushes += ctx.try_push(free[rng.bounded(free.size())]);
+      } else if (r == 6 && ctx.depth() > 0) {
+        ctx.pop();
+        ++undos;
+      } else if (r < 9) {
+        ctx.rewind_to(rng.bounded(ctx.depth() + 1));
+        ++undos;
+      } else {
+        ctx.clone_state_from(contexts[1 - c]);
+      }
+      const std::vector<StringId> prefix(ctx.committed().begin(),
+                                         ctx.committed().end());
+      const DecodeResult fresh = decode_order(m, prefix);
+      ASSERT_EQ(fresh.strings_deployed, prefix.size());
+      ASSERT_TRUE(ctx.allocation() == fresh.allocation);
+      ASSERT_EQ(ctx.fitness().total_worth, fresh.fitness.total_worth);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ctx.fitness().slackness),
+                std::bit_cast<std::uint64_t>(fresh.fitness.slackness));
+    }
+    EXPECT_GT(pushes, 50u);
+    EXPECT_GT(undos, 50u);
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "model/allocation.hpp"
 #include "testing/builders.hpp"
 
@@ -48,6 +52,23 @@ TEST(DagString, EdgeAdjacency) {
   EXPECT_EQ(out[0].size(), 2u);
   EXPECT_EQ(in[3].size(), 2u);
   EXPECT_TRUE(out[3].empty());
+}
+
+TEST(DagString, EdgeAdjacencyListsEachBucketInEdgeOrder) {
+  DagString s = diamond();
+  std::reverse(s.edges.begin(), s.edges.end());  // 2->3, 1->3, 0->2, 0->1
+  const auto in = s.edges_in();
+  const auto out = s.edges_out();
+  using Ids = std::vector<std::size_t>;
+  const auto ids = [](std::span<const std::size_t> b) { return Ids(b.begin(), b.end()); };
+  EXPECT_EQ(ids(in[0]), Ids{});
+  EXPECT_EQ(ids(in[1]), Ids{3});
+  EXPECT_EQ(ids(in[2]), Ids{2});
+  EXPECT_EQ(ids(in[3]), (Ids{0, 1}));
+  EXPECT_EQ(ids(out[0]), (Ids{2, 3}));
+  EXPECT_EQ(ids(out[1]), Ids{1});
+  EXPECT_EQ(ids(out[2]), Ids{0});
+  EXPECT_EQ(ids(out[3]), Ids{});
 }
 
 TEST(DagSystemModel, ValidateAcceptsDiamond) {
