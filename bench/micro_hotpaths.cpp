@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -445,6 +446,105 @@ void BM_SessionCommitRestore(benchmark::State& state) {
       static_cast<double>(accepted) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SessionCommitRestore);
+
+/// The undo twin of BM_SessionCommitRestore: commit, then undo to the mark
+/// taken before it, the path a decode's rewinds and pops take.
+void BM_SessionCommitUndo(benchmark::State& state) {
+  const auto m = make_instance(6, 16);
+  analysis::AllocationSession session(m);
+  for (model::StringId k = 0; k < 8; ++k) {
+    const auto assignment = core::imr_map_string(m, session.util(), k);
+    (void)session.try_commit(k, assignment);
+  }
+  const auto assignment = core::imr_map_string(m, session.util(), 8);
+  const analysis::AllocationSession::Mark before = session.mark();
+  std::int64_t accepted = 0;
+  for (auto _ : state) {
+    if (session.try_commit(8, assignment)) {
+      session.undo_to(before);
+      ++accepted;
+    }
+  }
+  state.counters["accept_frac"] =
+      static_cast<double>(accepted) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SessionCommitUndo);
+
+/// Rewinding a whole decode, as GENITOR's rewinds to the empty prefix do:
+/// each iteration commits strings in id order up to the first rejection (an
+/// id-order decode), then times only the rewind to the empty session.
+/// Arg 2 picks the rewind: 0 undoes the trail to the empty session's mark
+/// (what DecodeContext::rewind_to(0) runs), 1 restores an image of the empty
+/// session.  Args 0 and 1 are machines and strings.
+void BM_SessionFullRewind(benchmark::State& state) {
+  const auto m = make_instance(static_cast<std::size_t>(state.range(0)),
+                               static_cast<std::size_t>(state.range(1)));
+  const bool image = state.range(2) != 0;
+  analysis::AllocationSession session(m);
+  analysis::SessionSnapshot empty;
+  session.snapshot_into(empty);
+  const auto q = static_cast<model::StringId>(m.num_strings());
+  std::size_t deployed = 0;
+  for (auto _ : state) {
+    const analysis::AllocationSession::Mark start = session.mark();
+    deployed = 0;
+    for (model::StringId k = 0; k < q; ++k) {
+      if (!session.try_commit(k, core::imr_map_string(m, session.util(), k))) break;
+      ++deployed;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    if (image) {
+      session.restore_from(empty);
+    } else {
+      session.undo_to(start);
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  state.counters["deployed"] = static_cast<double>(deployed);
+}
+BENCHMARK(BM_SessionFullRewind)
+    ->Args({6, 75, 0})
+    ->Args({6, 75, 1})
+    ->Args({12, 150, 0})
+    ->Args({12, 150, 1})
+    ->UseManualTime();
+
+/// Stage one alone (eqs. (2)-(3) what-if sums and capacity test) on a loaded
+/// 6-machine state: every string has Arg apps and is IMR-mapped against the
+/// state once; the loop stages them round robin.  Staging writes only the
+/// what-if accumulator, so every iteration sees the same state.
+void BM_StageOne(benchmark::State& state) {
+  const auto apps = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(99);
+  auto config =
+      workload::GeneratorConfig::for_scenario(workload::Scenario::kHighlyLoaded);
+  config.num_machines = 6;
+  config.num_strings = 40;
+  config.min_apps_per_string = apps;
+  config.max_apps_per_string = apps;
+  const auto m = workload::generate(config, rng);
+  analysis::AllocationSession session(m);
+  const auto q = static_cast<model::StringId>(m.num_strings());
+  for (model::StringId k = 0; k < q; ++k) {
+    (void)session.try_commit(k, core::imr_map_string(m, session.util(), k));
+  }
+  std::vector<std::vector<model::MachineId>> candidates;
+  for (model::StringId k = 0; k < q; ++k) {
+    candidates.push_back(core::imr_map_string(m, session.util(), k));
+  }
+  analysis::UtilizationState util = session.util();
+  std::size_t k = 0;
+  std::int64_t fits = 0;
+  for (auto _ : state) {
+    fits += util.stage(static_cast<model::StringId>(k), candidates[k]) ? 1 : 0;
+    k = k + 1 == candidates.size() ? 0 : k + 1;
+  }
+  state.counters["fit_frac"] =
+      static_cast<double>(fits) / static_cast<double>(state.iterations());
+  state.counters["util_max"] = util.max_machine_util();
+}
+BENCHMARK(BM_StageOne)->Arg(2)->Arg(5)->Arg(10);
 
 /// Time per rejected try_commit on a loaded session: the strings a pass in
 /// id order could not deploy, IMR-mapped against the loaded

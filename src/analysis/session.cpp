@@ -80,12 +80,16 @@ TSCE_HOT void AllocationSession::undo_to(const Mark& m) noexcept {
   // Journals first, newest first, so a slot touched twice lands on its
   // oldest value.  A journaled slot of a string committed after the mark
   // then holds its value from right after that string's own commit, and the
-  // loop below overwrites it with NaN, as for every undeployed string.
-  for (std::size_t t = comp_journal_.size(); t-- > m.comp_journal;) {
-    comp_[comp_journal_[t].first] = comp_journal_[t].second;
-  }
-  for (std::size_t t = tran_journal_.size(); t-- > m.tran_journal;) {
-    tran_[tran_journal_[t].first] = tran_journal_[t].second;
+  // loop below overwrites it with NaN, as for every undeployed string.  When
+  // no string deployed at the mark is left (the empty prefix of a fresh
+  // session), every journal entry is such a slot, so none is replayed.
+  if (m.strings + image_strings_ != 0) {
+    for (std::size_t t = comp_journal_.size(); t-- > m.comp_journal;) {
+      comp_[comp_journal_[t].slot] = comp_journal_[t].old;
+    }
+    for (std::size_t t = tran_journal_.size(); t-- > m.tran_journal;) {
+      tran_[tran_journal_[t].slot] = tran_journal_[t].old;
+    }
   }
   comp_journal_.resize(m.comp_journal);
   tran_journal_.resize(m.tran_journal);
@@ -119,6 +123,7 @@ void AllocationSession::restore_from(const SessionSnapshot& snap) {
   comp_journal_.clear();
   tran_journal_.clear();
   trail_strings_.clear();
+  image_strings_ = static_cast<std::uint32_t>(alloc_.num_deployed());
 }
 
 std::size_t AllocationSession::state_bytes() const noexcept {
@@ -162,8 +167,8 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
   alloc_.set_deployed(k, true);
 
   // Stage one on what-if sums of the resources k touches (others are
-  // unchanged).
-  bool ok = fits_if_added(util_, k, assignment);
+  // unchanged); an accepted commit stores those sums.
+  bool ok = util_.stage(k, assignment);
   std::uint64_t fr_violation = kFrViolationUtilization;
   if (!ok) {
     SessionMetrics::get().reject_utilization.add(1);
@@ -191,7 +196,7 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
                    fr_violation);
     return false;
   }
-  util_.add_string(alloc_, k);
+  util_.store_staged(k, assignment);
   SessionMetrics::get().commit_latency_ns.record(
       obs::ticks_to_ns(obs::clock_ticks() - t0));
   return true;
@@ -224,7 +229,7 @@ TSCE_HOT double AllocationSession::scan_comp(StringId k, std::size_t app,
     if (higher_priority(t_k, k, t_z, ref.k)) {
       note_affected(ref.k);
       const std::uint32_t slot = c.app_off[zu] + ref.i;
-      comp_journal_.emplace_back(slot, comp_[slot]);
+      comp_journal_.push_back({slot, comp_[slot]});
       comp_[slot] += (c.period[zu] / p_k) * work_k;
     } else if (higher_priority(t_z, ref.k, t_k, k)) {
       t += (p_k / c.period[zu]) * c.work[c.app_machine(c.app(ref.k, ref.i), j)];
@@ -250,7 +255,7 @@ TSCE_HOT double AllocationSession::scan_tran(StringId k, std::size_t app,
     if (higher_priority(t_k, k, t_z, ref.k)) {
       note_affected(ref.k);
       const std::uint32_t slot = c.tran_off[zu] + ref.i;
-      tran_journal_.emplace_back(slot, tran_[slot]);
+      tran_journal_.push_back({slot, tran_[slot]});
       tran_[slot] += (c.period[zu] / p_k) * mbits_k / w;
     } else if (higher_priority(t_z, ref.k, t_k, k)) {
       t += (p_k / c.period[zu]) * c.mbits[c.app(ref.k, ref.i)] / w;

@@ -5,11 +5,13 @@
 /// and must re-run the two-stage feasibility analysis after every string.
 /// Re-checking the whole system from scratch is O(Q * A^2); AllocationSession
 /// exploits the fact that committing one string only perturbs the resources
-/// it touches — stage one is checked on what-if sums of the touched resources
-/// only (fits_if_added) and stage two re-estimates only resident applications
-/// of touched machines/routes (higher-priority estimates are unchanged by
+/// it touches — stage one folds the candidate into what-if sums of the
+/// touched resources only (UtilizationState::stage, one fold per touched
+/// resource) and stage two re-estimates only resident applications of
+/// touched machines/routes (higher-priority estimates are unchanged by
 /// construction of eqs. 5-6).  The candidate enters the utilization state
-/// only after both stages pass, so a failed commit undoes just its assignment,
+/// only after both stages pass, by storing the staged sums
+/// (UtilizationState::store_staged), so a failed commit undoes just its assignment,
 /// its priority and estimate slots and the resident estimates stage two
 /// journaled, leaving the previous feasible intermediate mapping intact (the
 /// MWF/TF termination rule) byte for byte.
@@ -18,10 +20,11 @@
 /// session keeps an undo trail since its last restore: the committed string
 /// ids, the stage-two journals of every commit, and the utilization state's
 /// own trail of touched resources.  mark() names a point on it, and
-/// undo_to(mark) writes the journals back newest first, returns the undone
-/// strings' assignment, priority and estimate slots to unassigned / NaN and
-/// undoes the utilization state — bit for bit the session at the mark, at a
-/// cost proportional to what was committed since.  A rejected try_commit is
+/// undo_to(mark) writes the journals back newest first (not at all when no
+/// string deployed at the mark is left), returns the undone strings'
+/// assignment, priority and estimate slots to unassigned / NaN and undoes
+/// the utilization state — bit for bit the session at the mark, at a cost
+/// proportional to what was committed since.  A rejected try_commit is
 /// undo_to(the mark taken at its start).
 ///
 /// Stage two makes one pass over each resident list the new string k
@@ -171,13 +174,22 @@ class AllocationSession {
   std::vector<model::StringId> affected_strings_;
   std::vector<std::uint32_t> affected_stamp_;
   std::uint32_t affected_epoch_ = 0;
+  /// One journal entry: an estimate slot and its value before stage two
+  /// delta-updated it.  A plain struct, so copying a journal is a memmove.
+  struct JournalEntry {
+    std::uint32_t slot;
+    double old;
+  };
   /// Undo trail.  Pre-commit values of estimate slots delta-updated by stage
   /// two, for every commit since the last restore, so an undo restores them
   /// bit-exactly (float subtraction would not); and the committed strings in
   /// commit order (a rejected commit's string sits at the tail until undone).
-  std::vector<std::pair<std::uint32_t, double>> comp_journal_;
-  std::vector<std::pair<std::uint32_t, double>> tran_journal_;
+  std::vector<JournalEntry> comp_journal_;
+  std::vector<JournalEntry> tran_journal_;
   std::vector<model::StringId> trail_strings_;
+  /// Strings deployed in the last restored image (0 for a fresh session):
+  /// they are deployed at every mark.
+  std::uint32_t image_strings_ = 0;
 };
 
 }  // namespace tsce::analysis

@@ -90,6 +90,7 @@ UtilizationState::UtilizationState(const SystemModel& model)
   // A string touches at most one machine per app and one route per transfer.
   trail_.reserve(coef_->app_off[model.num_strings()] +
                  coef_->tran_off[model.num_strings()]);
+  staged_.resize(m + m * m);
 }
 
 UtilizationState UtilizationState::from_allocation(const SystemModel& model,
@@ -128,14 +129,14 @@ double UtilizationState::route_delta(StringId k, AppIndex i, MachineId j1,
          model_->network.bandwidth_mbps(j1, j2);
 }
 
-TSCE_HOT void UtilizationState::add_to(std::size_t resource, double delta,
-                                       AppRef ref) {
+TSCE_HOT void UtilizationState::store_to(std::size_t resource, AppRef ref) {
+  assert(staged_[resource].epoch == stage_epoch_);
   // Copy the slab descriptor out first: growing the pool may move the arena's
   // backing buffer, which would invalidate a reference into it.
   Slab s = arena_.view(slabs_)[resource];
   double& u = util_of(resource);
   trail_.push_back({static_cast<std::uint32_t>(resource), s, u});
-  u += delta;
+  u = staged_[resource].util;
   if (s.size == s.cap) {
     const std::uint32_t new_cap = s.cap == 0 ? 4 : s.cap * 2;
     const util::ArenaSpan<AppRef> moved =
@@ -149,17 +150,75 @@ TSCE_HOT void UtilizationState::add_to(std::size_t resource, double delta,
 }
 
 TSCE_HOT void UtilizationState::add_string(const Allocation& alloc, StringId k) {
-  const auto& s = model_->strings[static_cast<std::size_t>(k)];
-  const auto n = static_cast<AppIndex>(s.size());
-  for (AppIndex i = 0; i < n; ++i) {
-    const MachineId j = alloc.machine_of(k, i);
+  const std::span<const MachineId> assignment = alloc.assignment(k);
+  (void)fold_string(k, assignment, /*stop_on_overload=*/false);
+  store_staged(k, assignment);
+}
+
+TSCE_HOT bool UtilizationState::stage(StringId k,
+                                      std::span<const MachineId> assignment) noexcept {
+  return fold_string(k, assignment, /*stop_on_overload=*/true);
+}
+
+TSCE_HOT double UtilizationState::fold(std::size_t resource, double delta) noexcept {
+  StagedSum& s = staged_[resource];
+  if (s.epoch != stage_epoch_) {
+    s.epoch = stage_epoch_;
+    s.util = util_of(resource);
+  }
+  s.util += delta;
+  return s.util;
+}
+
+TSCE_HOT bool UtilizationState::fold_string(StringId k,
+                                            std::span<const MachineId> assignment,
+                                            bool stop_on_overload) noexcept {
+  // A new epoch voids every staged sum at once; only a wrap re-zeroes stamps.
+  if (++stage_epoch_ == 0) {
+    for (StagedSum& s : staged_) s.epoch = 0;
+    stage_epoch_ = 1;
+  }
+  // Machines and routes are distinct entries, so folding all apps before all
+  // transfers still adds each resource's terms in app order.  Every term is
+  // >= 0 in a valid model and rounding is monotone, so a partial sum over
+  // capacity stays over it: the test after each term is, at each resource's
+  // last term, the test of its full sum, and the first failure decides the
+  // verdict.
+  bool fits = true;
+  const std::size_t n = assignment.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const MachineId j = assignment[i];
     assert(j != model::kUnassigned);
-    add_to(static_cast<std::size_t>(j), machine_delta(k, i, j), {k, i});
-    if (i + 1 < n) {
-      const MachineId j2 = alloc.machine_of(k, i + 1);
-      if (j != j2) {
-        add_to(num_machines() + route_index(j, j2), route_delta(k, i, j, j2), {k, i});
-      }
+    fits = within(fold(static_cast<std::size_t>(j),
+                       machine_delta(k, static_cast<AppIndex>(i), j)),
+                  1.0) && fits;
+    if (!fits && stop_on_overload) return false;
+  }
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const MachineId j1 = assignment[i];
+    const MachineId j2 = assignment[i + 1];
+    if (j1 == j2) continue;
+    fits = within(fold(num_machines() + route_index(j1, j2),
+                       route_delta(k, static_cast<AppIndex>(i), j1, j2)),
+                  1.0) && fits;
+    if (!fits && stop_on_overload) return false;
+  }
+  return fits;
+}
+
+TSCE_HOT void UtilizationState::store_staged(StringId k,
+                                             std::span<const MachineId> assignment) {
+  // One trail entry and slab append per touch, each app's before its
+  // transfer's.  A resource touched twice is set to its final sum at the
+  // first touch, so its second trail entry holds that sum; undo writes
+  // entries back newest first and lands on the oldest.
+  const std::size_t n = assignment.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const MachineId j = assignment[i];
+    const AppRef ref{k, static_cast<AppIndex>(i)};
+    store_to(static_cast<std::size_t>(j), ref);
+    if (i + 1 < n && j != assignment[i + 1]) {
+      store_to(num_machines() + route_index(j, assignment[i + 1]), ref);
     }
   }
 }
@@ -182,44 +241,6 @@ TSCE_HOT void UtilizationState::undo_to(Mark m) noexcept {
   }
   trail_.resize(m.trail);
   arena_.rewind(m.tip);
-}
-
-TSCE_HOT bool fits_if_added(const UtilizationState& util, StringId k,
-                            std::span<const MachineId> assignment) noexcept {
-  // Each resource k touches is checked once, at k's first app (transfer) on
-  // it: the current sum plus every one of k's terms on it, added in app order
-  // exactly as add_string's += sequence would.  Strings are short, so the
-  // quadratic scans need no scratch.
-  const std::size_t n = assignment.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const MachineId j = assignment[i];
-    if (std::find(assignment.begin(), assignment.begin() + i, j) !=
-        assignment.begin() + i) {
-      continue;
-    }
-    double u = util.machine_util(j);
-    for (std::size_t x = i; x < n; ++x) {
-      if (assignment[x] == j) u += util.machine_delta(k, static_cast<AppIndex>(x), j);
-    }
-    if (!within(u, 1.0)) return false;
-  }
-  const auto sends = [&](std::size_t x, MachineId j1, MachineId j2) {
-    return assignment[x] == j1 && assignment[x + 1] == j2;
-  };
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    const MachineId j1 = assignment[i];
-    const MachineId j2 = assignment[i + 1];
-    if (j1 == j2) continue;
-    bool first = true;
-    for (std::size_t p = 0; p < i; ++p) first = first && !sends(p, j1, j2);
-    if (!first) continue;
-    double u = util.route_util(j1, j2);
-    for (std::size_t x = i; x + 1 < n; ++x) {
-      if (sends(x, j1, j2)) u += util.route_delta(k, static_cast<AppIndex>(x), j1, j2);
-    }
-    if (!within(u, 1.0)) return false;
-  }
-  return true;
 }
 
 double UtilizationState::max_machine_util() const noexcept {

@@ -6,9 +6,22 @@
 /// sequential heuristics (IMR inside MWF/TF/PSG decode) rely on.  It also
 /// tracks which applications/transfers reside on each resource, which the
 /// stage-two time estimation reuses.  A candidate string is checked against
-/// the state with fits_if_added() and added once accepted.  The state goes
-/// back to an earlier point by undo_to() a mark (the undo trail below) or by
-/// snapshot restore.
+/// the state with stage() and, once accepted, stored with store_staged().
+/// The state goes back to an earlier point by undo_to() a mark (the undo
+/// trail below) or by snapshot restore.
+///
+/// Stage one (DESIGN.md §12): stage() folds the candidate's terms into a
+/// what-if accumulator, one entry per machine and route, in one pass over
+/// its apps and one over its transfers.  An epoch stamp starts each entry
+/// from the resource's current utilization on its first touch, so nothing
+/// is zeroed per call.  Each entry receives k's terms in app order, so every
+/// staged sum is bit-identical to a per-term += sequence in app order, and
+/// store_staged() writes those sums instead of adding the terms again;
+/// add_string() is a full fold, then the store.  The capacity test follows
+/// each term: terms are >= 0, so a partial sum over capacity fails the
+/// string, and stage() stops there.  The accumulator is sized at
+/// construction and lives outside the arena: snapshots do not carry it,
+/// copies do.
 ///
 /// Memory layout (DESIGN.md §12): the whole state is one contiguous
 /// util::Arena block — flat utilization arrays, a slab table of per-resource
@@ -111,8 +124,31 @@ class UtilizationState {
 
   /// Adds every application/transfer of string k using its assignment in
   /// \p alloc (string must be fully mapped), recording each touched
-  /// resource's old values on the undo trail.
+  /// resource's old values on the undo trail: a full fold of its terms,
+  /// then store_staged(), whether or not the string fits.
   void add_string(const model::Allocation& alloc, model::StringId k);
+
+  /// Stage one (eqs. (2)-(3)) for a candidate: folds string k with the
+  /// per-app machine \p assignment into the what-if accumulator and returns
+  /// true when every machine and route it touches stays within capacity,
+  /// stopping at the first term that overloads one.  Writes only the
+  /// accumulator: the state itself is unchanged.
+  [[nodiscard]] bool stage(model::StringId k,
+                           std::span<const model::MachineId> assignment) noexcept;
+  /// Adds string k by storing the sums folded by the last stage(k,
+  /// \p assignment), which must have returned true, with nothing changing
+  /// the state in between.  Each touch pushes one trail entry and one slab
+  /// append, in app order, as a per-term add would.
+  void store_staged(model::StringId k, std::span<const model::MachineId> assignment);
+  /// What-if sums of the last stage() call, valid for the machines and
+  /// routes it touched (all of them when it returned true; for tests).
+  [[nodiscard]] double staged_machine_util(model::MachineId j) const noexcept {
+    return staged_[static_cast<std::size_t>(j)].util;
+  }
+  [[nodiscard]] double staged_route_util(model::MachineId j1,
+                                         model::MachineId j2) const noexcept {
+    return staged_[num_machines() + route_index(j1, j2)].util;
+  }
 
   /// A point in this state's history: the undo-trail length and the arena
   /// tip.  Valid until the state is undone past it or restored.
@@ -199,6 +235,13 @@ class UtilizationState {
     double util;
   };
 
+  /// One what-if accumulator entry: the staged sum of a resource, valid when
+  /// its epoch is the current stage epoch.
+  struct StagedSum {
+    double util = 0.0;
+    std::uint32_t epoch = 0;
+  };
+
   /// Unified resource index: machines are [0, M), routes are M + route_index.
   [[nodiscard]] std::span<const AppRef> slab_span(std::size_t resource) const noexcept {
     const Slab& s = arena_.view(slabs_)[resource];
@@ -210,10 +253,18 @@ class UtilizationState {
     return arena_.view(util::ArenaSpan<double>{
         machine_util_.offset, machine_util_.count + route_util_.count})[resource];
   }
-  /// Trails the resource's old values, adds \p delta to its utilization and
-  /// appends \p ref to its resident slab, growing the slab amortized (in
-  /// place when it sits at the arena tip).
-  void add_to(std::size_t resource, double delta, AppRef ref);
+  /// Starts \p resource from its current utilization on its first touch in
+  /// this stage epoch, then adds \p delta to its staged sum and returns it.
+  double fold(std::size_t resource, double delta) noexcept;
+  /// Folds string k's terms into the accumulator in a new epoch and returns
+  /// whether every touched resource stays within capacity; with
+  /// \p stop_on_overload it stops at the first term that goes over.
+  bool fold_string(model::StringId k, std::span<const model::MachineId> assignment,
+                   bool stop_on_overload) noexcept;
+  /// Trails the resource's old values, sets its utilization to its staged
+  /// sum and appends \p ref to its resident slab, growing the slab amortized
+  /// (in place when it sits at the arena tip).
+  void store_to(std::size_t resource, AppRef ref);
 
   [[nodiscard]] std::size_t route_index(model::MachineId j1, model::MachineId j2) const noexcept {
     return static_cast<std::size_t>(j1) * num_machines() + static_cast<std::size_t>(j2);
@@ -228,15 +279,9 @@ class UtilizationState {
   util::ArenaSpan<double> route_util_;  // M x M row-major; diagonal stays 0
   util::ArenaSpan<Slab> slabs_;         // M machine slabs, then M*M route slabs
   std::vector<TrailEntry> trail_;       // reserved for every app and transfer
+  // What-if accumulator (outside the arena): one entry per unified resource.
+  std::vector<StagedSum> staged_;
+  std::uint32_t stage_epoch_ = 0;
 };
-
-/// Stage one (eqs. (2)-(3)) for a candidate: true when adding string k with
-/// the per-app machine \p assignment would leave every machine and route it
-/// touches within capacity.  Each touched resource's what-if sum is its
-/// current utilization plus k's terms on it, folded in add_string's app
-/// order, so it is bit-identical to the value add_string would store; \p util
-/// itself is not written.
-[[nodiscard]] bool fits_if_added(const UtilizationState& util, model::StringId k,
-                                 std::span<const model::MachineId> assignment) noexcept;
 
 }  // namespace tsce::analysis

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,12 @@ class Allocation {
   /// Machine of application i of string k, or kUnassigned.
   [[nodiscard]] MachineId machine_of(StringId k, AppIndex i) const noexcept {
     return flat_[offset_[static_cast<std::size_t>(k)] + static_cast<std::size_t>(i)];
+  }
+
+  /// The machines of string k's applications, in app order (its mapping row).
+  [[nodiscard]] std::span<const MachineId> assignment(StringId k) const noexcept {
+    const auto ku = static_cast<std::size_t>(k);
+    return {flat_.data() + offset_[ku], offset_[ku + 1] - offset_[ku]};
   }
 
   void assign(StringId k, AppIndex i, MachineId j) noexcept {

@@ -7,8 +7,10 @@
 /// drift apart — not even in the last ulp.  The id-ordered from_allocation
 /// overload agrees up to float re-association only (different fold order),
 /// which is also pinned down here so the contract stays documented by a
-/// failing test if it drifts.  Each add is also checked against
-/// fits_if_added, which must judge the sums add_string stores.
+/// failing test if it drifts.  Each add is first staged: every staged sum
+/// must equal, bit for bit, both a plain per-resource fold of the string's
+/// terms in app order and the value add_string then stores, and the stage's
+/// verdict must judge those stored sums.
 
 #include "analysis/utilization.hpp"
 
@@ -55,6 +57,9 @@ class Driver {
   Driver(const SystemModel& m, std::uint64_t seed)
       : m_(m), alloc_(m), util_(m), rng_(seed) {}
 
+  /// Adds whose stage passed, so their staged sums were compared.
+  [[nodiscard]] int staged_passes() const { return staged_passes_; }
+
   void run(int ops) {
     for (int op = 0; op < ops; ++op) {
       const auto r = rng_.bounded(10);
@@ -86,15 +91,60 @@ class Driver {
       alloc_.assign(k, static_cast<AppIndex>(i), assignment[i]);
     }
     alloc_.set_deployed(k, true);
-    const bool fits = fits_if_added(util_, k, assignment);
+    const std::size_t n = s.size();
+    // Oracle: each touched resource's current sum plus every one of k's
+    // terms on it, in app order, rescanning the assignment per resource.
+    std::vector<double> machine_sum(n);
+    std::vector<double> route_sum(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const MachineId j = assignment[i];
+      machine_sum[i] = util_.machine_util(j);
+      for (std::size_t x = 0; x < n; ++x) {
+        if (assignment[x] == j) {
+          machine_sum[i] += util_.machine_delta(k, static_cast<AppIndex>(x), j);
+        }
+      }
+      if (i + 1 == n) continue;
+      const MachineId j2 = assignment[i + 1];
+      route_sum[i] = util_.route_util(j, j2);
+      for (std::size_t x = 0; x + 1 < n; ++x) {
+        if (assignment[x] == j && assignment[x + 1] == j2) {
+          route_sum[i] += util_.route_delta(k, static_cast<AppIndex>(x), j, j2);
+        }
+      }
+    }
+    // A stage that fails stops at the first term over capacity, so its sums
+    // are complete only when it passes.
+    const bool fits = util_.stage(k, assignment);
+    if (fits) ++staged_passes_;
+    std::vector<double> staged_machine(n);
+    std::vector<double> staged_route(n);
+    for (std::size_t i = 0; fits && i < n; ++i) {
+      staged_machine[i] = util_.staged_machine_util(assignment[i]);
+      ASSERT_TRUE(bit_equal(staged_machine[i], machine_sum[i])) << "string " << k << " app " << i;
+      if (i + 1 < n && assignment[i] != assignment[i + 1]) {
+        staged_route[i] = util_.staged_route_util(assignment[i], assignment[i + 1]);
+        ASSERT_TRUE(bit_equal(staged_route[i], route_sum[i])) << "string " << k << " transfer " << i;
+      }
+    }
     util_.add_string(alloc_, k);
     deploy_order_.push_back(k);
     bool stored_fits = true;
-    for (std::size_t i = 0; i < s.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const MachineId j = alloc_.machine_of(k, static_cast<AppIndex>(i));
+      ASSERT_TRUE(bit_equal(util_.machine_util(j), machine_sum[i])) << "string " << k;
+      if (fits) {
+        ASSERT_TRUE(bit_equal(util_.machine_util(j), staged_machine[i])) << "string " << k;
+      }
       stored_fits = stored_fits && within(util_.machine_util(j), 1.0);
-      if (i + 1 < s.size()) {
+      if (i + 1 < n) {
         const MachineId j2 = alloc_.machine_of(k, static_cast<AppIndex>(i + 1));
+        if (j != j2) {
+          ASSERT_TRUE(bit_equal(util_.route_util(j, j2), route_sum[i])) << "string " << k;
+          if (fits) {
+            ASSERT_TRUE(bit_equal(util_.route_util(j, j2), staged_route[i])) << "string " << k;
+          }
+        }
         stored_fits = stored_fits && within(util_.route_util(j, j2), 1.0);
       }
     }
@@ -187,6 +237,7 @@ class Driver {
   util::Rng rng_;
   std::vector<StringId> deploy_order_;
   std::vector<SavedState> saved_;
+  int staged_passes_ = 0;
 };
 
 class UtilizationProperty : public ::testing::TestWithParam<workload::Scenario> {};
@@ -201,6 +252,7 @@ TEST_P(UtilizationProperty, InterleavedOpsMatchFromAllocationRebuild) {
     Driver driver(m, seed);
     driver.run(120);
     if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_GT(driver.staged_passes(), 0) << "seed " << seed;
   }
 }
 

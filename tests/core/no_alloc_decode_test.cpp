@@ -6,8 +6,8 @@
 ///   - the decode and memo candidate streams: decode_order_into,
 ///     decode_fitness_into, memo_find, try_push, rewind_to,
 ///     imr_map_string_into, AllocationSession::try_commit and its stage-two
-///     scans, fits_if_added, UtilizationState::add_string / slab_push /
-///     slackness, Histogram::record;
+///     scans, UtilizationState::stage / store_staged / slackness,
+///     Histogram::record;
 ///   - the exact enumerator's push/pop walk: try_push and pop;
 ///   - the LP re-solve kernels BasisLu::ftran / btran at the optimal basis of
 ///     the paper's upper-bound LP, with an eta file;
