@@ -1,7 +1,8 @@
 // Pins the simplex pivot path on upper-bound LPs of the three bench shapes.
-// The LPs are the paper-literal (a)–(g) form built by the test oracle
-// (paper_lp.hpp), so they stay fixed when the library's builder changes and
-// the pins track the simplex engine alone.
+// The BenchShapes LPs are the paper-literal (a)–(g) form built by the test
+// oracle (paper_lp.hpp), so they stay fixed when the library's builder
+// changes and the pins track the simplex engine alone.  The E2eShapes LPs
+// are the ones the end-to-end benchmark solves, built by the library.
 //
 // The solver is deterministic, so a fixed LP must reproduce the same
 // iteration and refactorisation counts and the same optimum bits on every
@@ -34,6 +35,9 @@ enum class Shape {
   kWorth,      ///< scenario-1/2 worth bound (partial mapping)
   kSlackness,  ///< scenario-3 slackness bound (complete mapping)
   kBoxed,      ///< random boxed LP whose pivots are mostly bound flips
+  /// bench/e2e instance: the seed's first spawned generator stream, and the
+  /// library's arc-flow builder (worth / slackness by the scenario)
+  kE2e,
 };
 
 struct PivotPathCase {
@@ -93,6 +97,12 @@ LpProblem build_case(const PivotPathCase& c) {
   auto config = workload::GeneratorConfig::for_scenario(c.scenario);
   config.num_machines = c.machines;
   config.num_strings = c.strings;
+  if (c.shape == Shape::kE2e) {
+    util::Rng stream = rng.spawn();
+    const model::SystemModel model = workload::generate(config, stream);
+    return build_upper_bound_lp(model, c.scenario == workload::Scenario::kLightlyLoaded,
+                                UbObjective::kTotalWorth);
+  }
   const model::SystemModel model = workload::generate(config, rng);
   return build_paper_upper_bound_lp(model, c.shape == Shape::kSlackness,
                                     UbObjective::kTotalWorth);
@@ -174,6 +184,26 @@ INSTANTIATE_TEST_SUITE_P(
                       80, 200, 4242, 200,
                       184, 2, 0x4094739782686f74ULL,
                       0xa33c637405b804aULL, 0xcc34c4376405c251ULL}),
+    [](const ::testing::TestParamInfo<PivotPathCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The first instance of seed 2005 of the bench/e2e workloads s1_loaded
+// (M=6, Q=75, worth) and s3_slack (M=12, Q=25, slackness), as
+// bench/e2e/workloads.cpp generates and bounds it.  Column generation for
+// the arc-flow LP (ROADMAP item 1) changes these paths and will re-capture
+// them.
+INSTANTIATE_TEST_SUITE_P(
+    E2eShapes, PivotPath,
+    ::testing::Values(
+        PivotPathCase{"s1_loaded", Shape::kE2e, Scenario::kHighlyLoaded,
+                      6, 75, 2005, 200,
+                      1234, 21, 0x40a642a0adb3a2d2ULL,
+                      0x23d341700fd8f7ddULL, 0x71e9125123160e72ULL},
+        PivotPathCase{"s3_slack", Shape::kE2e, Scenario::kLightlyLoaded,
+                      12, 25, 2005, 200,
+                      3148, 52, 0x3fe6613eb923479bULL,
+                      0xb67d19759cc5b673ULL, 0x48b88f9fae39f67fULL}),
     [](const ::testing::TestParamInfo<PivotPathCase>& info) {
       return std::string(info.param.name);
     });
