@@ -326,6 +326,38 @@ void BM_SimplexSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexSparse)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
+/// UpperBoundSolver on the end-to-end benchmark's LPs: the first instance of
+/// seed 2005 (bench/e2e/workloads.cpp), s1 the M=6, Q=75 worth bound of
+/// s1_loaded and s3 the M=12, Q=25 slackness bound of s3_slack.
+void BM_UpperBoundBenchShape(benchmark::State& state, workload::Scenario scenario,
+                             std::size_t machines, std::size_t strings) {
+  util::Rng master(2005);
+  util::Rng rng = master.spawn();
+  auto config = workload::GeneratorConfig::for_scenario(scenario);
+  config.num_machines = machines;
+  config.num_strings = strings;
+  const auto m = workload::generate(config, rng);
+  const bool complete = scenario == workload::Scenario::kLightlyLoaded;
+  lp::UpperBoundSolver solver;
+  lp::UpperBoundResult last;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    last = complete ? solver.slackness(m) : solver.worth(m);
+    benchmark::DoNotOptimize(last);
+  }
+  const std::chrono::duration<double, std::micro> elapsed =
+      std::chrono::steady_clock::now() - t0;
+  state.SetLabel(lp::to_string(last.status));
+  state.counters["iters"] = static_cast<double>(last.iterations);
+  state.counters["refactors"] = static_cast<double>(last.refactorisations);
+  state.counters["us_per_iter"] =
+      elapsed.count() / static_cast<double>(state.iterations() * last.iterations);
+}
+BENCHMARK_CAPTURE(BM_UpperBoundBenchShape, s1, workload::Scenario::kHighlyLoaded, 6, 75)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_UpperBoundBenchShape, s3, workload::Scenario::kLightlyLoaded, 12, 25)
+    ->Unit(benchmark::kMillisecond);
+
 /// Fleet-scale workload: hundreds of machines, thousands of single-app
 /// strings (the TDM-client shape — no inter-app edges, so the route-capacity
 /// block vanishes and the LP is Q deployment rows + M capacity rows).

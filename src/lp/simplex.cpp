@@ -1,6 +1,7 @@
 #include "lp/simplex.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -32,6 +33,9 @@ using detail::VarStatus;
 /// d² / γ ≥ 0, so Bland's rule is "first score ≥ 0" and Devex pricing's
 /// "largest score > 0" never picks an ineligible column.
 constexpr double kIneligible = -1.0;
+
+/// Columns per word of the pivot-row touched bitmap.
+constexpr std::size_t kWordBits = 64;
 
 /// Cached pricing scores with a running maximum per block of kBlock
 /// columns.  A block maximum is exact except in blocks marked dirty — those
@@ -89,7 +93,9 @@ class PricingScores {
   }
 
  private:
-  static constexpr std::size_t kBlock = 64;
+  /// One word of the pivot-row touched bitmap, so a word's updates land in
+  /// one block.
+  static constexpr std::size_t kBlock = kWordBits;
 
   void refresh() {
     for (const std::size_t b : dirty_list_) {
@@ -314,17 +320,17 @@ class SparseSolver : private SolverBase {
   /// fixed, reduced cost past the tolerance in its improving direction),
   /// else kIneligible.  Every write to d_, gamma_, vstat_ or a bound must be
   /// followed by a rescore of the columns it touched, so pricing can read
-  /// cached scores instead of re-deriving all n per iteration.
+  /// cached scores instead of re-deriving all n per iteration.  The test is
+  /// a mask and the score a select, so the hot update loop does not branch
+  /// on it; a basic column is neither at its lower nor at its upper bound.
   void rescore(std::size_t j) {
-    double score = kIneligible;
-    if (vstat_[j] != VarStatus::kBasic && lower_[j] != upper_[j]) {
-      const double d = d_[j];
-      if ((vstat_[j] == VarStatus::kAtLower && d < -kOptimalityTol) ||
-          (vstat_[j] == VarStatus::kAtUpper && d > kOptimalityTol)) {
-        score = d * d / gamma_[j];
-      }
-    }
-    scores_.set(j, score);
+    const double d = d_[j];
+    const VarStatus s = vstat_[j];
+    const bool may_enter = (lower_[j] != upper_[j]) &
+                           (((s == VarStatus::kAtLower) & (d < -kOptimalityTol)) |
+                            ((s == VarStatus::kAtUpper) & (d > kOptimalityTol)));
+    const double devex = d * d / gamma_[j];
+    scores_.set(j, may_enter ? devex : kIneligible);
   }
 
   void rescore_all() {
@@ -337,21 +343,43 @@ class SparseSolver : private SolverBase {
     (void)installed;  // the refactorisation below re-reads the new basis
     build_csr();
     gamma_.assign(a_.cols, 1.0);
-    alpha_.assign(a_.cols, 0.0);
+    size_pivot_row();
     // The artificial basis is diag(±1): factorisation cannot fail.
     const bool ok = refactorize();
     assert(ok && "artificial basis must factorize");
     (void)ok;
   }
 
+  void size_pivot_row() {
+    alpha_.assign(a_.cols, 0.0);
+    alpha_touched_.assign((a_.cols + kWordBits - 1) / kWordBits, 0);
+  }
+
+  /// Calls visit(c, alpha_c) for every column the pivot-row scatter touched,
+  /// in ascending column order and once each, and leaves alpha_ and the
+  /// touched bitmap all zero.
+  template <typename Visit>
+  void drain_alpha(Visit visit) {
+    for (std::size_t w = 0; w < alpha_touched_.size(); ++w) {
+      std::uint64_t bits = alpha_touched_[w];
+      alpha_touched_[w] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t c =
+            w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+        const double av = alpha_[c];
+        alpha_[c] = 0.0;
+        visit(c, av);
+      }
+    }
+  }
+
   void clear_alpha() {
-    for (const std::int32_t c : alpha_touched_) alpha_[static_cast<std::size_t>(c)] = 0.0;
-    alpha_touched_.clear();
+    drain_alpha([](std::size_t, double) {});
   }
 
   SolveStatus iterate() {
     std::size_t degenerate_run = 0;
-    if (alpha_.size() != a_.cols) alpha_.assign(a_.cols, 0.0);
+    if (alpha_.size() != a_.cols) size_pivot_row();
     while (iterations_ < max_iterations_) {
       if (lu_.eta_count() >= options_.refactor_interval) {
         if (!refactorize()) return SolveStatus::kIterationLimit;
@@ -463,7 +491,7 @@ class SparseSolver : private SolverBase {
         const auto row = static_cast<std::size_t>(pi);
         for (std::size_t p = ar_start_[row]; p < ar_start_[row + 1]; ++p) {
           const auto c = static_cast<std::size_t>(ar_col_[p]);
-          if (alpha_[c] == 0.0) alpha_touched_.push_back(ar_col_[p]);
+          alpha_touched_[c / kWordBits] |= std::uint64_t{1} << (c % kWordBits);
           alpha_[c] += ar_val_[p] * yv;
         }
       }
@@ -502,26 +530,24 @@ class SparseSolver : private SolverBase {
       }
 
       // Incremental reduced-cost and Devex-weight updates from the pivot
-      // row.  Process-and-clear makes duplicate touched entries (an exact
-      // cancellation later refilled) harmless: the second visit reads 0.
+      // row, column by column in ascending order.  Each column's result
+      // depends on its own alpha alone and gamma_max is a max, so the
+      // visiting order changes nothing.  A column whose alpha cancelled to
+      // exactly zero is touched but skipped.
       const double d_enter = d_[j_enter];
       const double ratio_d = d_enter / wr;
       const double gamma_q = std::max(gamma_[j_enter], 1.0);
       const double wr2 = wr * wr;
       double gamma_max = 0.0;
-      for (const std::int32_t ci : alpha_touched_) {
-        const auto c = static_cast<std::size_t>(ci);
-        const double av = alpha_[c];
-        alpha_[c] = 0.0;
-        if (av == 0.0) continue;
-        if (vstat_[c] == VarStatus::kBasic) continue;
+      drain_alpha([&](std::size_t c, double av) {
+        if (av == 0.0 || vstat_[c] == VarStatus::kBasic) return;
         d_[c] -= ratio_d * av;
         const double cand = gamma_q * (av * av) / wr2;
-        if (cand > gamma_[c]) gamma_[c] = cand;
-        if (gamma_[c] > gamma_max) gamma_max = gamma_[c];
+        const double gamma = cand > gamma_[c] ? cand : gamma_[c];
+        gamma_[c] = gamma;
+        gamma_max = gamma > gamma_max ? gamma : gamma_max;
         rescore(c);
-      }
-      alpha_touched_.clear();
+      });
       d_[b_leave] = -ratio_d;
       gamma_[b_leave] = std::max(gamma_q / wr2, 1.0);
       d_[j_enter] = 0.0;
@@ -565,7 +591,9 @@ class SparseSolver : private SolverBase {
   std::vector<double> gamma_;  // Devex reference weights
   PricingScores scores_;
   std::vector<double> alpha_;  // pivot-row scatter scratch
-  std::vector<std::int32_t> alpha_touched_;
+  // Columns alpha_ may hold nonzero, a bit each; word w covers pricing
+  // block w, columns [64w, 64w + 64).
+  std::vector<std::uint64_t> alpha_touched_;
   IndexedVector w_, rho_, scratch_;
   std::size_t refactor_count_ = 0;
   bool duals_fresh_ = false;

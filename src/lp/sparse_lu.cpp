@@ -1,10 +1,10 @@
 #include "lp/sparse_lu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 
 namespace tsce::lp {
 namespace {
@@ -16,9 +16,10 @@ namespace {
 constexpr double kMarkowitzThreshold = 0.1;
 
 /// Share of the m elimination steps a solve pass may push onto its step
-/// heap before it finishes as a plain sweep.  Below it, heap order costs
-/// less than touching every step; above it (a dense rhs such as the basic
-/// values or the duals, or heavy fill), the sweep is cheaper.
+/// queue before it finishes as a plain sweep.  Below it, visiting only the
+/// pushed steps costs less than touching every step; above it (a dense rhs
+/// such as the basic values or the duals, or heavy fill), the sweep is
+/// cheaper.
 constexpr double kHyperSparseDensity = 0.1;
 
 }  // namespace
@@ -26,36 +27,34 @@ constexpr double kHyperSparseDensity = 0.1;
 void BasisLu::StepQueue::reset(std::size_t m) {
   m_ = m;
   dense_limit_ = static_cast<std::size_t>(kHyperSparseDensity * static_cast<double>(m));
-  heap_.clear();
-  heap_.reserve(m);
-  stamp_.assign(m, 0);
-  epoch_ = 0;
+  bits_.assign((m + 63) / 64, 0);
 }
 
 void BasisLu::StepQueue::start(bool ascending) {
+  assert(std::all_of(bits_.begin(), bits_.end(),
+                     [](std::uint64_t word) { return word == 0; }) &&
+         "the previous pass must have visited every pending key");
   ascending_ = ascending;
-  heap_.clear();
   pushed_ = 0;
+  pending_ = 0;
   next_key_ = 0;
   sweep_ = false;
-  if (++epoch_ == 0) {  // wrapped: no stale stamp may equal the new epoch
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    epoch_ = 1;
-  }
 }
 
 void BasisLu::StepQueue::push(std::int32_t step) {
+  const std::size_t key = flip(static_cast<std::size_t>(step));
+  assert(key >= next_key_ && "a pass may only push steps it has not passed");
   if (sweep_) return;
-  const auto k = static_cast<std::size_t>(step);
-  if (stamp_[k] == epoch_) return;
-  stamp_[k] = epoch_;
+  std::uint64_t& word = bits_[key >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (key & 63);
+  if ((word & bit) != 0) return;
   if (++pushed_ > dense_limit_) {
-    heap_.clear();
+    std::fill(bits_.begin() + static_cast<std::ptrdiff_t>(next_key_ >> 6), bits_.end(), 0);
     sweep_ = true;
     return;
   }
-  heap_.push_back(static_cast<std::int32_t>(flip(k)));
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  word |= bit;
+  ++pending_;
 }
 
 bool BasisLu::StepQueue::pop(std::size_t& step) {
@@ -63,10 +62,16 @@ bool BasisLu::StepQueue::pop(std::size_t& step) {
   if (sweep_) {
     if (key >= m_) return false;
   } else {
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    key = static_cast<std::size_t>(heap_.back());
-    heap_.pop_back();
+    if (pending_ == 0) return false;
+    // A set key exists at or after the cursor, so the scan stops in range.
+    std::size_t w = key >> 6;
+    std::uint64_t word = bits_[w] & (~std::uint64_t{0} << (key & 63));
+    while (word == 0) {
+      bits_[w] = 0;  // the cursor leaves this word
+      word = bits_[++w];
+    }
+    key = (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+    if (--pending_ == 0 || (key & 63) == 63) bits_[w] = 0;
   }
   next_key_ = key + 1;
   step = flip(key);

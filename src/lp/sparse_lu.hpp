@@ -22,11 +22,13 @@
 ///
 /// Hyper-sparse solves: a unit or few-nonzero rhs reaches only a small part
 /// of the factor, so no LU pass sweeps all m elimination steps.  Each pass
-/// keeps a binary heap of the steps that can still be nonzero and visits
-/// them in the same ascending (L, U^T) or descending (U, L^T) step order a
-/// full sweep would.  The scatter passes (L, U^T) push the step of every
-/// index they newly fill; the dot-product passes (U, L^T) learn which steps
-/// need a value from transposed patterns of U and L built by factorize().
+/// marks the steps that can still be nonzero in a bitset and visits them
+/// with a monotone cursor, in the same ascending (L, U^T) or descending
+/// (U, L^T) step order a full sweep would.  The scatter passes (L, U^T) push
+/// the step of every index they newly fill; the dot-product passes (U, L^T)
+/// learn which steps need a value from transposed patterns of U and L built
+/// by factorize().  Every step a pass pushes comes after the one it is
+/// visiting, so the cursor never moves back.
 /// The arithmetic of every visited step is unchanged — the same entries are
 /// combined in the same order — so the results are bit-identical to a full
 /// sweep.  A pass that needs more than kHyperSparseDensity·m steps (a dense
@@ -132,12 +134,15 @@ class BasisLu {
   };
 
   /// Visits the elimination steps of one solve pass in step order without
-  /// sweeping all m: pending steps sit in a binary min-heap keyed by their
-  /// rank in the pass's order, deduplicated by a per-step epoch stamp.  Once
-  /// a pass has pushed more than its dense limit, it falls back to sweeping
-  /// every step after the last one visited, which is exact because every
-  /// pending step comes later in the order.  Capacity is reserved by
-  /// factorize(), so push() never allocates.
+  /// sweeping all m.  A step's key is its rank in the pass's visiting order;
+  /// pending keys are bits of a bitset, and pop() returns the first set bit
+  /// at or after a cursor that only moves forward.  That is exact because
+  /// every push names a key at or after the cursor (asserted), and setting a
+  /// bit dedupes.  Bits the cursor has passed stay set until it leaves their
+  /// 64-key word, so pop() masks them off; the bitset is all zero between
+  /// passes.  Once a pass has pushed more than its dense limit, it clears
+  /// the pending words and sweeps every key from the cursor on.  Storage is
+  /// sized by factorize(), so push() never allocates.
   class StepQueue {
    public:
     void reset(std::size_t m);
@@ -149,7 +154,7 @@ class BasisLu {
     [[nodiscard]] bool sparse() const noexcept { return !sweep_; }
 
    private:
-    /// Maps a step to its heap key and back (an involution): the key is the
+    /// Maps a step to its key and back (an involution): the key is the
     /// step's rank in the pass's visiting order.
     [[nodiscard]] std::size_t flip(std::size_t i) const noexcept {
       return ascending_ ? i : m_ - 1 - i;
@@ -157,11 +162,10 @@ class BasisLu {
 
     std::size_t m_ = 0;
     std::size_t dense_limit_ = 0;
-    std::vector<std::int32_t> heap_;  ///< keys, min-heap
-    std::vector<std::uint32_t> stamp_;  ///< step -> epoch it was pushed in
-    std::uint32_t epoch_ = 0;
-    std::size_t pushed_ = 0;
-    std::size_t next_key_ = 0;  ///< first key not yet visited
+    std::vector<std::uint64_t> bits_;  ///< pending keys, 64 a word
+    std::size_t pushed_ = 0;   ///< distinct keys pushed this pass
+    std::size_t pending_ = 0;  ///< pushed and not yet visited
+    std::size_t next_key_ = 0;  ///< first key not yet visited (the cursor)
     bool ascending_ = true;
     bool sweep_ = false;
   };
