@@ -161,15 +161,19 @@ void BM_BatchEvaluate(benchmark::State& state) {
 BENCHMARK(BM_BatchEvaluate)->Arg(1)->Arg(2);
 
 /// Full parallel-tempering run (4 replicas) at a fixed decode budget;
-/// Arg = AnnealingOptions::threads.  Same total Metropolis steps in every
-/// variant, so the wall clock differences isolate pool overhead (at 1 core)
-/// or speedup (at N).
+/// Args = (machines, strings, iterations, AnnealingOptions::threads).  Same
+/// total Metropolis steps at every thread count, so the wall clock
+/// differences isolate pool overhead (at 1 core) or speedup (at N).  The
+/// 12x150 rows are the paper-scale shape of the end-to-end `par_search`
+/// workload (10,000 steps), one iteration each: repeat them with
+/// --benchmark_repetitions to measure thread scaling.
 void BM_AnnealTempering(benchmark::State& state) {
-  const auto m = make_instance(6, 48);
+  const auto m = make_instance(static_cast<std::size_t>(state.range(0)),
+                               static_cast<std::size_t>(state.range(1)));
   core::AnnealingOptions options;
-  options.iterations = 4000;
+  options.iterations = static_cast<std::size_t>(state.range(2));
   options.replicas = 4;
-  options.threads = static_cast<std::size_t>(state.range(0));
+  options.threads = static_cast<std::size_t>(state.range(3));
   const core::SimulatedAnnealing search(options);
   std::size_t evaluations = 0;
   int worth = 0;
@@ -183,7 +187,16 @@ void BM_AnnealTempering(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(evaluations));
   state.counters["worth"] = static_cast<double>(worth);
 }
-BENCHMARK(BM_AnnealTempering)->Arg(1)->Arg(2)->Arg(4)
+BENCHMARK(BM_AnnealTempering)
+    ->Args({6, 48, 4000, 1})
+    ->Args({6, 48, 4000, 2})
+    ->Args({6, 48, 4000, 4})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnnealTempering)
+    ->Args({12, 150, 10000, 1})
+    ->Args({12, 150, 10000, 2})
+    ->Args({12, 150, 10000, 4})
+    ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 /// One exact search (branch-and-bound over orderings, one thread, budget

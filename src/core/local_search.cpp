@@ -180,9 +180,10 @@ void temper_steps(TemperReplica& rep, std::size_t steps) {
 /// ladder step in fixed-size sweeps; at each sweep barrier adjacent pairs
 /// (alternating parity per sweep) may exchange their states with the
 /// Metropolis-Hastings swap rule, the swap draw coming from a dedicated
-/// exchange stream.  All per-replica randomness is index-derived and the
-/// barrier fold walks replicas in index order, so the result is
-/// byte-identical at any worker count.
+/// exchange stream.  Each worker steps the same replicas for the whole run.
+/// All per-replica randomness is index-derived and the barrier's exchange
+/// pass and fold walk replicas in index order on one thread, so the result
+/// is byte-identical at any worker count.
 AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
                                              util::Rng& rng) const {
   const std::size_t replicas = std::max<std::size_t>(1, options_.replicas);
@@ -264,13 +265,14 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
     }
     return false;
   };
-  while (pending()) {
-    obs::Span sweep_span(
-        obs::names::kSearchTemperSweep,
-        {{"phase", "Annealing"}, {"sweep", std::uint64_t{sweep}}});
-    util::for_each_index(pool.get(), replicas, [&](std::size_t, std::size_t r) {
+  // Worker w steps replicas w, w + W, w + 2W, ... for the whole run, so a
+  // replica's decode context stays on one thread.  One sweep is one round:
+  // every worker's replicas step, then the round's end runs on one thread
+  // with the exchange pass and the incumbent fold.
+  auto step_replicas = [&](std::size_t w) {
+    for (std::size_t r = w; r < replicas; r += workers) {
       TemperReplica& rep = reps[r];
-      if (rep.remaining == 0) return;
+      if (rep.remaining == 0) continue;
       obs::Span rep_span(obs::names::kSearchTemperReplica,
                          {{"phase", "Annealing"},
                           {"replica", std::uint64_t{r}},
@@ -278,9 +280,10 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
       temper_steps(rep, std::min(kAnnealExchangeInterval, rep.remaining));
       rep_span.add("temperature", rep.temperature);
       rep_span.add("worth", static_cast<double>(rep.fitness.total_worth));
-    });
+    }
+  };
+  auto end_sweep = [&] {
     sweeps_total.add(1);
-
     // Adjacent-pair exchange with alternating parity: pairs (0,1),(2,3),..
     // on even sweeps, (1,2),(3,4),.. on odd ones.  The swap draw is always
     // consumed so the exchange stream's position never depends on the
@@ -311,6 +314,10 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
     }
     fold();
     ++sweep;
+    return pending();
+  };
+  if (pending()) {
+    util::run_in_lockstep(pool.get(), workers, step_replicas, end_sweep);
   }
 
   std::size_t evaluations = 0;

@@ -63,10 +63,10 @@ inline constexpr std::string_view kSearchClass = "search.class";
 inline constexpr std::string_view kSearchImprove = "search.improve";
 
 // --- parallel tempering (the annealing engine) -----------------------------
-// Spans: one per sweep (driver side) and one per replica step (worker side).
-// Events: one per exchange attempt at a sweep barrier.  Counters tally
-// sweeps, exchange attempts, and accepted swaps process-wide.
-inline constexpr std::string_view kSearchTemperSweep = "search.temper.sweep";
+// Spans: one per replica per sweep, on the worker that owns the replica.
+// Events: one per exchange attempt, from the sweep barrier's completion
+// step.  Counters tally sweeps, exchange attempts, and accepted swaps
+// process-wide.
 inline constexpr std::string_view kSearchTemperReplica = "search.temper.replica";
 inline constexpr std::string_view kSearchTemperExchange = "search.temper.exchange";
 inline constexpr std::string_view kTemperSweeps = "search.temper.sweeps";
@@ -117,7 +117,6 @@ inline constexpr std::array kAll = {
     kSearchExactBranch,
     kSearchClass,
     kSearchImprove,
-    kSearchTemperSweep,
     kSearchTemperReplica,
     kSearchTemperExchange,
     kTemperSweeps,

@@ -1,14 +1,14 @@
 /// \file thread_pool.hpp
 /// Minimal fixed-size thread pool and the one parallel loop built on it,
-/// for_each_index.
+/// for_each_index, with run_in_lockstep for items that step in rounds.
 ///
 /// Every parallel loop in the library and the benches goes through
 /// for_each_index: the Monte-Carlo replications of the figure benches, the
 /// BatchEvaluator's candidate fan-out (initial populations, the exact
-/// search's branch split) and the tempering engine's replica sweeps.  Work
-/// items are type-erased tasks; results flow back through std::future.  On a
-/// single-core host the pool degrades gracefully to one worker with
-/// negligible overhead.
+/// search's branch split) and, through run_in_lockstep, the tempering
+/// engine's replica workers.  Work items are type-erased tasks; results flow
+/// back through std::future.  On a single-core host the pool degrades
+/// gracefully to one worker with negligible overhead.
 ///
 /// The pool keeps process-wide Stats (task count, peak queue depth, and —
 /// when set_timing(true) — per-task queue-wait and run latency).  They live
@@ -19,11 +19,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -129,14 +132,20 @@ void drain(std::vector<std::future<void>>& futures);
 /// Runs fn(slot, i) for every i in [0, count) and blocks until all are done.
 ///
 /// With a pool, at most pool->size() tasks pull indices from a shared atomic
-/// cursor — O(workers) futures instead of O(count), so barrier-stepped loops
-/// (the tempering sweeps) can call it repeatedly without flooding the queue.
-/// \p slot (< pool->size()) names the task running the index: no two indices
-/// run at the same time under one slot, so fn may use it to pick per-worker
-/// scratch (a decode context, an LP solver).  With no pool (nullptr) the loop
-/// runs inline, in index order, under slot 0.  fn must tolerate any
-/// index-to-slot schedule; the first exception it throws is rethrown once
-/// every task has finished.
+/// cursor — O(workers) futures instead of O(count), so a loop can be called
+/// repeatedly without flooding the queue.  \p slot (< pool->size()) names
+/// the task running the index: no two indices run at the same time under one
+/// slot, so fn may use it to pick per-worker scratch (a decode context, an LP
+/// solver).  With no pool (nullptr) the loop runs inline, in index order,
+/// under slot 0.  fn must tolerate any index-to-slot schedule; the first
+/// exception it throws is rethrown once every task has finished.
+///
+/// An item may wait on other items of the same call (as at a std::barrier)
+/// only when count <= pool->size() and the pool runs nothing else: only then
+/// does every item get its own task, and so its own thread.  With more items
+/// than threads, a waiting item holds its thread while the items it waits
+/// for sit unstarted behind it, and the loop never ends.  run_in_lockstep
+/// below relies on this.
 template <typename F>
 void for_each_index(ThreadPool* pool, std::size_t count, F&& fn) {
   if (pool == nullptr) {
@@ -156,6 +165,54 @@ void for_each_index(ThreadPool* pool, std::size_t count, F&& fn) {
     }));
   }
   detail::drain(futures);
+}
+
+/// Runs \p workers long-lived items in rounds: each round calls step(w) for
+/// every worker w in [0, workers), then end_round() once, on one thread,
+/// after every step of the round has returned and before any step of the
+/// next round starts.  Rounds repeat while end_round() returns true, so at
+/// least one round runs.  The workers start once, through for_each_index,
+/// and meet at one std::barrier per round, whose completion runs end_round,
+/// so worker w runs on one thread for the whole call and the caller's thread
+/// sleeps until the last round ends.  The pool must have at least \p workers
+/// threads and run nothing else (see for_each_index); with no pool,
+/// \p workers must be 1 and the rounds run inline.
+///
+/// A throw must not strand the other workers at the barrier: a step's or
+/// end_round's exception is caught, the round still completes, no further
+/// round starts, and the first one (in worker order, then end_round's) is
+/// rethrown once every worker has left.
+template <typename Step, typename EndRound>
+void run_in_lockstep(ThreadPool* pool, std::size_t workers, Step&& step,
+                     EndRound&& end_round) {
+  assert(pool == nullptr ? workers == 1 : workers <= pool->size());
+  std::vector<std::exception_ptr> errors(workers + 1);  // the last: end_round
+  bool more = true;
+  auto completion = [&]() noexcept {
+    more = std::none_of(errors.begin(), errors.end() - 1,
+                        [](const std::exception_ptr& e) { return e != nullptr; });
+    if (!more) return;
+    try {
+      more = end_round();
+    } catch (...) {
+      errors.back() = std::current_exception();
+      more = false;
+    }
+  };
+  std::barrier barrier(static_cast<std::ptrdiff_t>(workers), completion);
+  for_each_index(pool, workers, [&](std::size_t, std::size_t w) {
+    do {
+      try {
+        step(w);
+      } catch (...) {
+        errors[w] = std::current_exception();
+      }
+      barrier.arrive_and_wait();
+    } while (more);
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace tsce::util

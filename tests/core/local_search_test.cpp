@@ -154,6 +154,51 @@ TEST(SimulatedAnnealing, TemperingDeterministicAcrossThreadCounts) {
   EXPECT_TRUE(analysis::check_feasibility(m, two.allocation).feasible());
 }
 
+/// Runs tempering on \p m at \p replicas and \p threads; everything else is
+/// fixed, so two calls differ only in how replicas are split over workers.
+AllocatorResult temper(const SystemModel& m, std::size_t replicas,
+                       std::size_t threads) {
+  AnnealingOptions options;
+  options.iterations = 700;
+  options.replicas = replicas;
+  options.threads = threads;
+  util::Rng rng(28);
+  return SimulatedAnnealing(options).allocate(m, rng);
+}
+
+void expect_same_result(const AllocatorResult& a, const AllocatorResult& b) {
+  EXPECT_EQ(a.order, b.order);
+  EXPECT_EQ(a.fitness.total_worth, b.fitness.total_worth);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.fitness.slackness),
+            std::bit_cast<std::uint64_t>(b.fitness.slackness));
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.allocation, b.allocation);
+}
+
+TEST(SimulatedAnnealing, UnevenReplicaSplitMatchesOneThread) {
+  // Five replicas over 2, 3 and 4 workers leave some workers one replica
+  // more than others (worker w steps replicas w, w + W, ...); 8 threads cap
+  // at five workers of one replica each.  Every split must match the
+  // inline run byte for byte.
+  const SystemModel m = contended(27, 4, 14);
+  const AllocatorResult one = temper(m, 5, 1);
+  EXPECT_TRUE(analysis::check_feasibility(m, one.allocation).feasible());
+  EXPECT_EQ(one.evaluations, 700u + 5u);
+  for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    expect_same_result(one, temper(m, 5, threads));
+  }
+}
+
+TEST(SimulatedAnnealing, SingleReplicaIgnoresExtraThreads) {
+  // One replica caps the workers at one: no pool and no exchanges, so four
+  // threads run exactly the inline chain.
+  const SystemModel m = contended(27, 4, 14);
+  const AllocatorResult one = temper(m, 1, 1);
+  EXPECT_EQ(one.evaluations, 700u + 1u);
+  expect_same_result(one, temper(m, 1, 4));
+}
+
 TEST(SimulatedAnnealing, TemperingBudgetMatchesSerialEngine) {
   // Tempering splits `iterations` across the replicas and each replica
   // charges one decode for its start order, so the total evaluation count is

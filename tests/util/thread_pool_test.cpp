@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <cstddef>
 #include <future>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -87,8 +91,8 @@ TEST(ThreadPool, ForEachIndexZeroCountIsNoop) {
 }
 
 TEST(ThreadPool, ForEachIndexRepeatedBarrierSteps) {
-  // The tempering engine calls it once per sweep: every call must fully
-  // drain before the next begins, with only O(workers) queued tasks.
+  // Repeated calls on one pool: every call must fully drain before the next
+  // begins, with only O(workers) queued tasks.
   ThreadPool pool(2);
   std::vector<int> hits(16, 0);
   for (int sweep = 0; sweep < 50; ++sweep) {
@@ -96,6 +100,95 @@ TEST(ThreadPool, ForEachIndexRepeatedBarrierSteps) {
                    [&](std::size_t, std::size_t i) { hits[i] += 1; });
   }
   for (int h : hits) EXPECT_EQ(h, 50);
+}
+
+TEST(ThreadPool, ForEachIndexItemsMeetAtBarrier) {
+  // pool.size() items may wait on each other: each gets its own task, so
+  // all of them reach every barrier phase (the tempering workers' contract).
+  // The completion step runs once per phase, after every item's write of
+  // that phase and before any item's next one.
+  ThreadPool pool(4);
+  constexpr int kPhases = 200;
+  std::vector<int> steps(pool.size(), 0);
+  std::vector<std::size_t> slots(pool.size(), pool.size());
+  int phases = 0;
+  bool sums_matched = true;
+  std::barrier barrier(static_cast<std::ptrdiff_t>(pool.size()), [&]() noexcept {
+    ++phases;
+    for (int s : steps) sums_matched = sums_matched && s == phases;
+  });
+  for_each_index(&pool, pool.size(), [&](std::size_t slot, std::size_t i) {
+    slots[i] = slot;
+    for (int p = 0; p < kPhases; ++p) {
+      steps[i] += 1;
+      barrier.arrive_and_wait();
+    }
+  });
+  EXPECT_EQ(phases, kPhases);
+  EXPECT_TRUE(sums_matched);
+  for (int s : steps) EXPECT_EQ(s, kPhases);
+  // One task per item: every slot ran exactly one item.
+  std::sort(slots.begin(), slots.end());
+  for (std::size_t i = 0; i < slots.size(); ++i) EXPECT_EQ(slots[i], i);
+}
+
+TEST(ThreadPool, LockstepRoundsSeeEveryStepOfTheirRound) {
+  // end_round runs once per round, after every worker's step of that round
+  // and before any worker's next one; the rounds stop when it says so.  The
+  // inline form (no pool, one worker) runs the same rounds.
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
+    std::vector<int> steps(workers, 0);
+    int rounds = 0;
+    bool saw_each_round = true;
+    run_in_lockstep(
+        pool.get(), workers, [&](std::size_t w) { steps[w] += 1; },
+        [&] {
+          ++rounds;
+          for (int s : steps) saw_each_round = saw_each_round && s == rounds;
+          return rounds < 100;
+        });
+    EXPECT_EQ(rounds, 100);
+    EXPECT_TRUE(saw_each_round);
+    for (int s : steps) EXPECT_EQ(s, 100);
+  }
+}
+
+TEST(ThreadPool, LockstepStepExceptionEndsTheRunWithoutStranding) {
+  // Worker 2 throws in round 5: the other workers finish that round and
+  // none starts another, end_round does not run for it, and the exception
+  // reaches the caller (a stranded worker would hang this test).
+  ThreadPool pool(4);
+  std::vector<int> steps(pool.size(), 0);
+  int rounds = 0;
+  EXPECT_THROW(run_in_lockstep(
+                   &pool, pool.size(),
+                   [&](std::size_t w) {
+                     steps[w] += 1;
+                     if (w == 2 && steps[w] == 5) throw std::logic_error("bad");
+                   },
+                   [&] {
+                     ++rounds;
+                     return true;
+                   }),
+               std::logic_error);
+  EXPECT_EQ(rounds, 4);
+  for (int s : steps) EXPECT_EQ(s, 5);
+}
+
+TEST(ThreadPool, LockstepEndRoundExceptionEndsTheRun) {
+  ThreadPool pool(2);
+  std::vector<int> steps(pool.size(), 0);
+  EXPECT_THROW(run_in_lockstep(
+                   &pool, pool.size(), [&](std::size_t w) { steps[w] += 1; },
+                   [&]() -> bool {
+                     if (steps[0] == 3) throw std::runtime_error("end");
+                     return true;
+                   }),
+               std::runtime_error);
+  for (int s : steps) EXPECT_EQ(s, 3);
 }
 
 TEST(ThreadPool, ForEachIndexPropagatesException) {
